@@ -27,10 +27,9 @@ from mechscm.core import (
     Setting,
     VarId,
     canon_key,
-    distribution,
-    induce_scm,
+    distribution,  # noqa: F401  (perfbench's tracer expects it in this namespace)
     setting_sort_key,
-    solution_set,
+    solution_distributions,
     values_close,
 )
 from mechscm.rationality import has_independent_mechanism
@@ -397,8 +396,6 @@ def check_abstraction(
     tol: float = 1e-9,
     *,
     mode: str = "exact",
-    low_method: str = "auto",
-    high_method: str = "auto",
     n: int = 100_000,
     seed: int = 0,
 ) -> AbstractionReport:
@@ -406,6 +403,7 @@ def check_abstraction(
     in the suite: low-level solution distributions pushed through tau must
     equal, as a set, the high-level solution distributions under the mapped
     intervention."""
+    tau = lambda s: push_tau(a, t, s)
     entries = []
     for low_iv in suite:
         high_iv = push_omega(a, w, low_iv)
@@ -414,33 +412,8 @@ def check_abstraction(
                 InterventionEntry(low_iv, high_iv, False, float("inf"), 0, 0, high_iv.reason)
             )
             continue
-        low_sols = solution_set(low.mech_model, low_iv, method=low_method)
-        pushed: list = []
-        seen: set = set()
-        for s in sorted(low_sols, key=setting_sort_key):
-            d = distribution(induce_scm(low, s), mode=mode, n=n, seed=seed)
-            if mode == "exact":
-                d = d.map_atoms(lambda v: push_tau(a, t, v))
-                key = d.atoms
-            else:
-                d = Distribution(
-                    kind="empirical",
-                    samples=tuple(push_tau(a, t, v) for v in d.samples),
-                    seed=d.seed,
-                )
-                key = d.samples
-            if key not in seen:
-                seen.add(key)
-                pushed.append(d)
-        high_sols = solution_set(high.mech_model, high_iv, method=high_method)
-        high_dists: list = []
-        seen = set()
-        for s in sorted(high_sols, key=setting_sort_key):
-            d = distribution(induce_scm(high, s), mode=mode, n=n, seed=seed)
-            key = d.atoms if mode == "exact" else d.samples
-            if key not in seen:
-                seen.add(key)
-                high_dists.append(d)
+        pushed = solution_distributions(low, low_iv, push=tau, mode=mode, n=n, seed=seed)
+        high_dists = solution_distributions(high, high_iv, mode=mode, n=n, seed=seed)
         matched, worst = dists_match(pushed, high_dists, tol)
         note = "" if matched else f"{len(pushed)} low vs {len(high_dists)} high distributions"
         entries.append(

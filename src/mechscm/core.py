@@ -412,6 +412,24 @@ def setting_sort_key(s: Setting):
     return tuple((v.name, v.layer.value, canon_key(x)) for v, x in s.sorted_items())
 
 
+def _topological_order(variables: Sequence[VarId], parents: Mapping) -> Optional[tuple]:
+    """Kahn's sort, taking ready variables by name at each round; None when
+    the parent graph has a cycle.  Parents outside ``variables`` are ignored."""
+    remaining = {v: set(parents.get(v, ())) for v in variables}
+    order = []
+    while remaining:
+        ready = sorted(
+            (v for v, ps in remaining.items() if not (ps & remaining.keys())),
+            key=lambda v: v.name,
+        )
+        if not ready:
+            return None
+        for v in ready:
+            order.append(v)
+            del remaining[v]
+    return tuple(order)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic (cyclic) model over the mechanism layer
 
@@ -440,6 +458,8 @@ class DeterministicSCM:
         for v in self.variables:
             if v not in self.domains or v not in self.assignments:
                 raise ValueError(f"missing domain or assignment for {v!r}")
+        order = None if self.parents is None else _topological_order(self.variables, self.parents)
+        object.__setattr__(self, "_order", order)
 
     def others(self, var: VarId) -> tuple:
         return tuple(v for v in self.variables if v != var)
@@ -447,21 +467,7 @@ class DeterministicSCM:
     def topological_order(self) -> Optional[tuple]:
         """Topological order of the declared parent graph, or None if no
         parents are declared or the graph has a cycle."""
-        if self.parents is None:
-            return None
-        remaining = {v: set(self.parents.get(v, ())) for v in self.variables}
-        order = []
-        while remaining:
-            ready = sorted(
-                (v for v, ps in remaining.items() if not (ps & remaining.keys())),
-                key=lambda v: v.name,
-            )
-            if not ready:
-                return None
-            for v in ready:
-                order.append(v)
-                del remaining[v]
-        return tuple(order)
+        return self._order
 
 
 def _check_intervention_vars(m: DeterministicSCM, intervention: Setting) -> None:
@@ -635,7 +641,7 @@ def solution_set(
         registered = m.analytic_solutions(intervention)
         if registered is not None:
             return frozenset(registered)
-    if m.parents is not None and m.topological_order() is not None:
+    if m.topological_order() is not None:
         return frozenset([solve_acyclic(m, intervention)])
     return solve_enumerate(m, intervention, use_analytic=False, tol=tol)
 
@@ -775,25 +781,10 @@ class ParameterizedSCM:
     assigns: Mapping[VarId, ObjectAssign]
 
     def __post_init__(self):
-        order = self._compute_order()
+        order = _topological_order(self.variables, self.parents)
         if order is None:
             raise ValueError("object-level graph must be acyclic")
         object.__setattr__(self, "_order", order)
-
-    def _compute_order(self) -> Optional[tuple]:
-        remaining = {v: set(self.parents.get(v, ())) for v in self.variables}
-        order = []
-        while remaining:
-            ready = sorted(
-                (v for v, ps in remaining.items() if not (ps & remaining.keys())),
-                key=lambda v: v.name,
-            )
-            if not ready:
-                return None
-            for v in ready:
-                order.append(v)
-                del remaining[v]
-        return tuple(order)
 
     @property
     def topological_order(self) -> tuple:
@@ -913,9 +904,12 @@ class Distribution:
         return sum(fn(s) for s in self.samples) / len(self.samples)
 
     def map_atoms(self, fn: Callable[[Setting], Setting]) -> "Distribution":
-        """Pushforward through a setting-to-setting map (exact mode)."""
+        """Pushforward through a setting-to-setting map: exact atoms landing
+        on the same setting merge; samples map one by one, keeping the seed."""
         if self.kind != "exact":
-            raise ValueError("map_atoms requires an exact distribution")
+            return Distribution(
+                kind="empirical", samples=tuple(fn(s) for s in self.samples), seed=self.seed
+            )
         acc: dict = {}
         for s, p in self.atoms:
             mapped = fn(s)
@@ -924,13 +918,7 @@ class Distribution:
 
     def marginal(self, targets: Iterable[VarId]) -> "Distribution":
         targets = tuple(targets)
-        if self.kind == "exact":
-            return self.map_atoms(lambda s: s.project(targets))
-        return Distribution(
-            kind="empirical",
-            samples=tuple(s.project(targets) for s in self.samples),
-            seed=self.seed,
-        )
+        return self.map_atoms(lambda s: s.project(targets))
 
     def as_exact_table(self) -> dict:
         """Empirical frequencies as a table; identity on exact mode."""
@@ -1018,18 +1006,25 @@ def solution_distributions(
     m: MechanizedSCM,
     intervention: Setting = EMPTY_SETTING,
     *,
-    method: str = "auto",
+    push: Optional[Callable[[Setting], Setting]] = None,
     mode: str = "exact",
     n: int = 100_000,
     seed: int = 0,
 ) -> tuple:
-    """One distribution per mechanism solution, with exactly-equal duplicates
-    collapsed; canonically ordered."""
-    sols = solution_set(m.mech_model, intervention, method=method)
+    """One distribution per mechanism solution, in the canonical order of the
+    solutions, with exactly-equal duplicates collapsed.
+
+    ``push`` maps each object setting to another setting (an abstraction's
+    value mapping, say); when given, every distribution is pushed forward
+    through it before the duplicate check, so solutions that differ only in
+    what ``push`` forgets yield one distribution."""
+    sols = solution_set(m.mech_model, intervention)
     dists = []
     seen = set()
     for s in sorted(sols, key=setting_sort_key):
         d = distribution(induce_scm(m, s), mode=mode, n=n, seed=seed)
+        if push is not None:
+            d = d.map_atoms(push)
         key = d.atoms if d.kind == "exact" else d.samples
         if key not in seen:
             seen.add(key)

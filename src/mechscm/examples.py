@@ -3,9 +3,7 @@ coordination game, the single-step actor-critic pair with its high-level
 single-agent abstraction, and the two-player shared-utility game under best
 response or first-mover rationality.
 
-Each constructor documents which claimed properties the tests verify; the
-registry exposes every model (and paired abstraction) by a stable name for
-the CLI."""
+Each constructor documents which claimed properties the tests verify."""
 
 from __future__ import annotations
 
@@ -41,22 +39,13 @@ from mechscm.rationality import (
 )
 
 __all__ = [
-    "UnknownExample",
     "AbstractionPair",
     "battle_of_sexes",
     "bos_analytic_equilibria",
     "actor_critic_pair",
     "shared_utility_pair",
     "shared_utility_tables",
-    "example_names",
-    "get_model",
-    "get_pair",
-    "get_utility",
 ]
-
-
-class UnknownExample(KeyError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -434,66 +423,3 @@ def shared_utility_pair(rationality: str = "br") -> AbstractionPair:
         }
     )
     return AbstractionPair(low, high, alignment, tau, omega)
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-_MODEL_BUILDERS = {
-    "battle-of-sexes": lambda **kw: battle_of_sexes(**kw),
-    "shared-utility-br.low": lambda **kw: shared_utility_pair("br").low,
-    "shared-utility-br.high": lambda **kw: shared_utility_pair("br").high,
-    "shared-utility-fm.low": lambda **kw: shared_utility_pair("fm").low,
-    "shared-utility-fm.high": lambda **kw: shared_utility_pair("fm").high,
-    "actor-critic.low": lambda **kw: actor_critic_pair(**kw).low,
-    "actor-critic.high": lambda **kw: actor_critic_pair(**kw).high,
-}
-
-_PAIR_BUILDERS = {
-    "actor-critic": lambda **kw: actor_critic_pair(**kw),
-    "shared-utility-br": lambda **kw: shared_utility_pair("br"),
-    "shared-utility-fm": lambda **kw: shared_utility_pair("fm"),
-}
-
-
-def example_names() -> tuple:
-    return ("battle-of-sexes", "actor-critic", "shared-utility")
-
-
-def get_model(name: str, **kw) -> MechanizedSCM:
-    try:
-        return _MODEL_BUILDERS[name](**kw)
-    except KeyError:
-        raise UnknownExample(name) from None
-
-
-def get_pair(name: str, **kw) -> AbstractionPair:
-    try:
-        return _PAIR_BUILDERS[name](**kw)
-    except KeyError:
-        raise UnknownExample(name) from None
-
-
-def get_utility(example: str, name: str) -> UtilityFn:
-    """Named utilities accepted by the CLI, per example."""
-    registry = {
-        "battle-of-sexes": {
-            "payoff1": lambda: UtilityFn.of_var(obj("U1"), "payoff1"),
-            "payoff2": lambda: UtilityFn.of_var(obj("U2"), "payoff2"),
-            "constant": lambda: UtilityFn.constant(0.0),
-        },
-        "actor-critic": {
-            "reward": lambda: UtilityFn.of_var(obj("R*"), "reward"),
-            "reward-low": lambda: UtilityFn.of_var(obj("R"), "reward-low"),
-            "constant": lambda: UtilityFn.constant(0.0),
-        },
-        "shared-utility": {
-            "shared": lambda: UtilityFn.of_var(obj("U"), "shared"),
-            "constant": lambda: UtilityFn.constant(0.0),
-        },
-    }
-    try:
-        return registry[example][name]()
-    except KeyError:
-        raise UnknownExample(f"{example}:{name}") from None

@@ -258,6 +258,8 @@ def is_nontrivial_agent(
     configurations with positive probability under both contexts; asymmetric
     configurations are flagged, not counted as differences."""
     contexts = list(contexts)
+    if not contexts:
+        raise ValueError("non-triviality needs at least one context")
     verdict = is_agent(m, target, relation, u, contexts, tie_tol=tie_tol)
     if not verdict:
         return NontrivialVerdict(False, None, verdict)

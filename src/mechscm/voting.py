@@ -11,6 +11,7 @@ alpha = A/B and delta = D/B, is
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,12 @@ class Population:
                 raise InvalidConfig(f"{name} must have one entry per citizen")
         if np.any(self.a < 0) or np.any(self.b <= 0) or np.any(self.d < 0):
             raise InvalidConfig("require a >= 0, b > 0, d >= 0")
+        # Country layout: each country's first citizen index, and each
+        # citizen's country.
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(self.sizes, initial=0))[:-1])
+        country_of = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        country_of.flags.writeable = False
+        object.__setattr__(self, "country_of", country_of)
 
     @property
     def n_countries(self) -> int:
@@ -86,21 +93,9 @@ class Population:
     def total(self) -> int:
         return int(sum(self.sizes))
 
-    @property
-    def offsets(self) -> tuple:
-        out, acc = [], 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
-
     def country_slice(self, c: int) -> slice:
         start = self.offsets[c]
         return slice(start, start + self.sizes[c])
-
-    @property
-    def country_of(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_countries), self.sizes)
 
 
 @dataclass(frozen=True)
@@ -300,6 +295,8 @@ def median_ne(
     """Damped synchronous iteration on the per-country median vote, from all
     pollution levels zero, stopping when the update step's 2-norm is at most
     ``tol``."""
+    if max_iter < 1:
+        raise InvalidConfig("need max_iter >= 1")
     iv.validate_for(pop)
     q = np.zeros(pop.n_countries)
     for iteration in range(1, max_iter + 1):

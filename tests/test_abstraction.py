@@ -199,6 +199,14 @@ def test_actor_critic_action_only_interventions(ac):
     suite = grid_suite(ac.omega, [mech("A*")])
     report = check_abstraction(ac.low, ac.high, ac.alignment, ac.tau, ac.omega, suite)
     assert report.ok
+    # Both sides sample from the same seed, and tau is the identity on the
+    # aligned variables, so the pushed samples equal the high-level ones.
+    sampled = check_abstraction(
+        ac.low, ac.high, ac.alignment, ac.tau, ac.omega, suite + (EMPTY_SETTING,),
+        mode="sample", n=20_000, seed=3,
+    )
+    assert sampled.ok
+    assert max(e.max_mismatch for e in sampled.entries) == 0.0
 
 
 def test_actor_critic_full_grid_under_time_budget(ac):
@@ -222,14 +230,19 @@ def test_shared_utility_br_fails_fm_passes():
     iv = Setting({mech("U"): u})
 
     br = shared_utility_pair("br")
-    report_br = check_abstraction(br.low, br.high, br.alignment, br.tau, br.omega, [iv])
-    assert not report_br.ok
-    entry = report_br.entries[0]
-    assert (entry.n_low, entry.n_high) == (2, 1)
-
     fm = shared_utility_pair("fm")
-    report_fm = check_abstraction(fm.low, fm.high, fm.alignment, fm.tau, fm.omega, [iv])
-    assert report_fm.ok
+    for mode in ("exact", "sample"):
+        report_br = check_abstraction(
+            br.low, br.high, br.alignment, br.tau, br.omega, [iv], mode=mode, n=1_000
+        )
+        assert not report_br.ok
+        entry = report_br.entries[0]
+        assert (entry.n_low, entry.n_high) == (2, 1)
+
+        report_fm = check_abstraction(
+            fm.low, fm.high, fm.alignment, fm.tau, fm.omega, [iv], mode=mode, n=1_000
+        )
+        assert report_fm.ok
 
 
 def test_shared_utility_fm_full_subset_suite():

@@ -292,6 +292,10 @@ def test_sampling_consistent_with_exact():
     emp = distribution(ind, mode="sample", n=100_000, seed=7)
     assert emp.seed == 7 and emp.n_samples == 100_000
     assert exact.tv_distance(emp) < 0.02
+    marg = emp.marginal([A])
+    assert marg.kind == "empirical" and marg.seed == 7 and marg.n_samples == 100_000
+    assert all(s.vars == {A} for s in marg.samples)
+    assert exact.marginal([A]).tv_distance(marg) < 0.02
 
 
 def test_exact_mode_rejects_continuous_noise():

@@ -23,9 +23,6 @@ from mechscm.examples import (
     actor_critic_pair,
     battle_of_sexes,
     bos_analytic_equilibria,
-    get_model,
-    get_pair,
-    get_utility,
     shared_utility_pair,
     shared_utility_tables,
 )
@@ -192,19 +189,3 @@ def test_shared_utility_symmetric_table_counts():
     belief = BeliefModel((mech("D2"),), (shared,))
     ctx = Setting({mech("D2"): 0, mech("U"): u})
     assert set(first_mover_response(fm.low, mech("D1"), belief, shared, ctx)) == {0, 1}
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-def test_registry_lookup_and_unknown():
-    from mechscm.examples import UnknownExample
-
-    assert get_model("battle-of-sexes") is not None
-    assert get_pair("actor-critic") is not None
-    assert get_utility("battle-of-sexes", "payoff1") is not None
-    with pytest.raises(UnknownExample):
-        get_model("nope")
-    with pytest.raises(UnknownExample):
-        get_utility("battle-of-sexes", "nope")

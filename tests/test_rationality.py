@@ -211,6 +211,12 @@ def test_constant_mechanism_is_trivial(ac):
     assert verdict.agent_verdict.is_agent and not verdict
 
 
+def test_nontrivial_agent_rejects_empty_contexts(ac):
+    rel = RationalityRelation.best_response(TAs)
+    with pytest.raises(ValueError):
+        is_nontrivial_agent(ac.high, TAs, rel, UtilityFn.of_var(obj("R*")), [])
+
+
 # ---------------------------------------------------------------------------
 # First mover
 

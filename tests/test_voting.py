@@ -59,6 +59,9 @@ def test_population_deterministic_and_shapes():
     assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.b, p2.b) and np.array_equal(p1.d, p2.d)
     assert p1.n_countries == 5 and p1.total == 1000
     assert sum(p1.sizes) == 1000 and all(s >= 1 for s in p1.sizes)
+    for c in range(p1.n_countries):
+        assert np.all(p1.country_of[p1.country_slice(c)] == c)
+    assert p1.offsets == tuple(int(x) for x in np.cumsum((0,) + p1.sizes[:-1]))
 
 
 def test_population_parameter_ranges():
@@ -255,6 +258,12 @@ def test_median_single_citizen_no_externality():
     want = (pop.a - iv.lam) / (2 * pop.b)
     assert res.q[0] == pytest.approx(want[0], abs=1e-5)
     assert res.q[1] == pytest.approx(want[2], abs=1e-5)
+
+
+def test_median_rejects_nonpositive_max_iter():
+    pop = generate_population(seed=11)
+    with pytest.raises(InvalidConfig):
+        median_ne(pop, Intervention.zero(pop), max_iter=0)
 
 
 def test_median_fixed_point_residual_small():
