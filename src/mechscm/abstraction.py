@@ -28,7 +28,6 @@ from mechscm.core import (
     VarId,
     canon_key,
     distribution,  # noqa: F401  (perfbench's tracer expects it in this namespace)
-    setting_sort_key,
     solution_distributions,
     values_close,
 )
@@ -104,17 +103,6 @@ class Alignment:
     @property
     def high_object_vars(self) -> tuple:
         return tuple(sorted(self.groups, key=lambda v: v.name))
-
-    @property
-    def high_mech_vars(self) -> tuple:
-        return tuple(v.paired(Layer.MECHANISM) for v in self.high_object_vars)
-
-    @property
-    def covered_low_mech_vars(self) -> frozenset:
-        out: set = set()
-        for high in self.groups:
-            out |= set(self.mech_collection(high.paired(Layer.MECHANISM)))
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -309,28 +297,39 @@ def dists_match(
     tol: float,
     value_tol: float = 1e-9,
 ):
-    """Match two finite sets of distributions as sets, greedily pairing
-    nearest entries in canonical order and verifying every pair lies within
-    ``tol``.  Returns (matched, max_mismatch)."""
-    if any(d.kind != "exact" for d in list(set1) + list(set2)):
+    """Match two finite sets of distributions as sets: ``max_mismatch`` is
+    the least, over one-to-one pairings, of the largest paired distance (the
+    bottleneck matching), so it depends on neither order nor side.  Returns
+    (max_mismatch <= tol, max_mismatch)."""
+    set1, set2 = list(set1), list(set2)
+    if len(set1) != len(set2):
+        return False, float("inf")
+    if any(d.kind != "exact" for d in set1 + set2):
         # sampled comparisons fall back to total variation
         dist_fn = lambda a, b: a.tv_distance(b)
     else:
         dist_fn = lambda a, b: _dist_distance(a, b, value_tol)
-    ordered1 = sorted(set1, key=lambda d: tuple(setting_sort_key(s) for s, _ in d.atoms))
-    remaining = list(sorted(set2, key=lambda d: tuple(setting_sort_key(s) for s, _ in d.atoms)))
-    if len(ordered1) != len(remaining):
-        return False, float("inf")
-    worst = 0.0
-    for d1 in ordered1:
-        best_idx, best_val = None, float("inf")
-        for i, d2 in enumerate(remaining):
-            val = dist_fn(d1, d2)
-            if val < best_val:
-                best_idx, best_val = i, val
-        worst = max(worst, best_val)
-        remaining.pop(best_idx)
+    dist = [[dist_fn(d1, d2) for d2 in set2] for d1 in set1]
+    limits = sorted({x for row in dist for x in row})
+    worst = next((t for t in limits if _has_perfect_matching(dist, t)), 0.0)
     return worst <= tol, worst
+
+
+def _has_perfect_matching(dist: list, limit: float) -> bool:
+    """Whether the pairs at distance at most ``limit`` admit a perfect
+    matching (Kuhn's augmenting paths)."""
+    owner = [None] * len(dist)  # column -> matched row
+
+    def augment(i: int, seen: set) -> bool:
+        for j, x in enumerate(dist[i]):
+            if x <= limit and j not in seen:
+                seen.add(j)
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(dist)))
 
 
 # ---------------------------------------------------------------------------

@@ -295,10 +295,6 @@ class RealBox(Domain):
         return tuple(itertools.product(*axes))
 
 
-def unit_box(dim: int, grid_step: Optional[float] = 0.01) -> RealBox:
-    return RealBox((0.0,) * dim, (1.0,) * dim, grid_step)
-
-
 @dataclass(frozen=True)
 class FunctionTableDomain(Domain):
     """Values are Tables over a fixed input grid with outputs in a codomain."""
@@ -625,18 +621,11 @@ def solution_set(
     m: DeterministicSCM,
     intervention: Setting = EMPTY_SETTING,
     *,
-    method: str = "auto",
     tol: float = FLOAT_TOL,
 ) -> frozenset:
-    """Solution set under an intervention.  ``auto`` prefers a registered
-    analytic set, then the forward solver on declared acyclic structure, then
+    """Solution set under an intervention: a registered analytic set if
+    there is one, else the forward solver on declared acyclic structure, else
     enumeration."""
-    if method == "enumerate":
-        return solve_enumerate(m, intervention, tol=tol)
-    if method == "acyclic":
-        return frozenset([solve_acyclic(m, intervention)])
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if m.analytic_solutions is not None:
         registered = m.analytic_solutions(intervention)
         if registered is not None:

@@ -1,8 +1,9 @@
-"""Reproducible experiment runs: configuration, seeded dataset generation
-with CSV caching, training, evaluation, and a run manifest with artifact
-hashes.
+"""Reproducible Table-1 runs: configuration, then one seeded pipeline of
+the surrogate stages (population, delta estimate, disjoint train and test
+sets, training, evaluation), artifacts and a run manifest.
 
-Artifacts written to the output directory:
+Artifacts written to the output directory (every CSV number is written as
+``repr(float(x))``, integers as integers):
 
     ground_truth_train.csv / ground_truth_test.csv
         header: intervention_id,country,q_c,Q_W
@@ -11,7 +12,11 @@ Artifacts written to the output directory:
     per_country.csv      vcg: country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q
                          others: country,citizens,mae_q,baseline_mae_q
     training_curve.csv   header: epoch,mean_loss
-    manifest.json        command, resolved config, seeds, artifact hashes, duration
+    manifest.json        keys: command; config (resolved); seeds (root plus one
+                         int per ``SEED_STAGES`` entry); stage_seconds (delta,
+                         data, train, eval); versions (python, numpy); artifacts
+                         (sha256 of each file above); duration_seconds;
+                         thresholds_ok
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -30,18 +36,16 @@ import numpy as np
 
 from mechscm.surrogate import (
     MECHANISMS,
-    GroundTruthSet,
     TrainConfig,
+    estimate_delta,
     evaluate,
     make_dataset,
-    median_fixed_point_residual_max,
     train,
 )
 from mechscm.voting import (
-    Intervention,
     ParameterRanges,
-    Population,
     generate_population,
+    median_fixed_point_residual,
 )
 
 __all__ = [
@@ -51,6 +55,7 @@ __all__ = [
     "run_experiment",
     "ExperimentResult",
     "THRESHOLDS",
+    "SEED_STAGES",
 ]
 
 
@@ -63,6 +68,10 @@ THRESHOLDS = {
     "median": {"improvement_min": 0.80, "median_residual_max": 1e-5},
     "dictator": {"improvement_max": 0.20},
 }
+
+# Every stage that draws randomness, in the order its seed is derived from
+# the root seed.
+SEED_STAGES = ("population", "delta", "train_data", "test_data", "init", "baseline", "floor")
 
 
 @dataclass(frozen=True)
@@ -91,16 +100,6 @@ class ExperimentConfig:
     def ranges(self) -> ParameterRanges:
         return ParameterRanges(
             a=self.a_range, b=self.b_range, d=self.d_range, size_sigma=self.size_sigma
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            n_train=self.n_train,
-            n_test=self.n_test,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
         )
 
     def to_dict(self) -> dict:
@@ -139,45 +138,18 @@ class ExperimentResult:
     duration: float
 
 
-def _write_ground_truth_csv(path: Path, data: GroundTruthSet) -> None:
-    lines = ["intervention_id,country,q_c,Q_W"]
-    for j, _iv in enumerate(data.interventions):
-        total = float(data.q[j].sum())
-        for c in range(data.q.shape[1]):
-            lines.append(f"{j},{c},{data.q[j, c]!r},{total!r}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row; strings and integers as written, every other value
+    as ``repr(float(x))`` so that each number round-trips exactly."""
 
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return repr(float(x))
 
-def _write_table1_row(path: Path, report: dict) -> None:
-    lines = [
-        "mechanism,model_mae,baseline_mae,improvement",
-        f"{report['mechanism']},{report['model_mae']!r},{report['baseline_mae']!r},{report['improvement']!r}",
-    ]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_per_country(path: Path, report: dict, pop: Population) -> None:
-    if report["mechanism"] == "vcg":
-        lines = ["country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q"]
-        for c in range(pop.n_countries):
-            lines.append(
-                f"{c},{pop.sizes[c]},{report['mae_delta'][c]!r},{report['mae_alpha'][c]!r},"
-                f"{report['per_country_mae'][c]!r},{report['per_country_baseline_mae'][c]!r}"
-            )
-    else:
-        lines = ["country,citizens,mae_q,baseline_mae_q"]
-        for c in range(pop.n_countries):
-            lines.append(
-                f"{c},{pop.sizes[c]},{report['per_country_mae'][c]!r},"
-                f"{report['per_country_baseline_mae'][c]!r}"
-            )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_training_curve(path: Path, curve: np.ndarray) -> None:
-    lines = ["epoch,mean_loss"]
-    for i, value in enumerate(curve):
-        lines.append(f"{i},{float(value)!r}")
+    lines = [header] + [",".join(cell(x) for x in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -207,93 +179,111 @@ def _check_thresholds(report: dict) -> bool:
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_dir, threads: int = 1, command: str = "experiment run"
+    cfg: ExperimentConfig, out_dir, command: str = "experiment run"
 ) -> ExperimentResult:
-    """Generate the population and datasets, fit the surrogate, evaluate, and
-    emit all artifacts plus the manifest.  Fully deterministic given the
-    config; threads only parallelize independent ground-truth solves."""
+    """Generate the population, estimate delta, draw disjoint train and test
+    sets, fit the surrogate, evaluate, and emit all artifacts plus the
+    manifest.  Fully deterministic given the config."""
     start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Plain ints, not SeedSequences: a stage spawns from a SeedSequence in
+    # place, so a second use of one would draw different values.
+    state = np.random.SeedSequence(cfg.seed).generate_state(len(SEED_STAGES))
+    seeds = {name: int(x) for name, x in zip(SEED_STAGES, state)}
+    solver = {"damping": cfg.damping, "tol": cfg.tol, "max_iter": cfg.max_iter}
+    stage_seconds = {}
 
-    ss = np.random.SeedSequence(cfg.seed)
-    pop_seed, test_seed, eval_seed = ss.spawn(3)
+    @contextmanager
+    def stage(name: str):
+        t0 = time.perf_counter()
+        yield
+        stage_seconds[name] = time.perf_counter() - t0
+
     pop = generate_population(
-        pop_seed,
+        seeds["population"],
         n_countries=cfg.n_countries,
         total_citizens=cfg.total_citizens,
         ranges=cfg.ranges(),
     )
-
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
+    with stage("delta"):
+        delta = estimate_delta(cfg.mechanism, pop, seeds["delta"], **solver)
+    with stage("data"):
+        train_set = make_dataset(cfg.mechanism, pop, cfg.n_train, seeds["train_data"], **solver)
+        test_set = make_dataset(cfg.mechanism, pop, cfg.n_test, seeds["test_data"], **solver)
+    with stage("train"):
+        train_cfg = TrainConfig(
+            n_train=cfg.n_train,
+            n_test=cfg.n_test,
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            learning_rate=cfg.learning_rate,
+            seed=seeds["init"],
+        )
         result = train(
+            pop, cfg.mechanism, train_cfg, train_set=train_set, delta=delta, **solver
+        )
+    with stage("eval"):
+        report = evaluate(
+            result.net,
+            delta,
             pop,
             cfg.mechanism,
-            cfg.train_config(),
-            damping=cfg.damping,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            executor=executor,
-        )
-        test_set = make_dataset(
-            cfg.mechanism,
-            pop,
-            cfg.n_test,
-            test_seed,
-            damping=cfg.damping,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            executor=executor,
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-    eval_children = eval_seed.spawn(2)
-    report_obj = evaluate(
-        result.net,
-        result.delta,
-        pop,
-        cfg.mechanism,
-        test_set,
-        baseline_seed=eval_children[0],
-        floor_seed=eval_children[1],
-    )
-    report = report_obj.to_dict()
-    report["delta_hat"] = [float(x) for x in result.delta.delta_hat]
-    report["delta_method"] = result.delta.method
+            test_set,
+            baseline_seed=seeds["baseline"],
+            floor_seed=seeds["floor"],
+        ).to_dict()
+        if cfg.mechanism == "median":
+            report["median_residual"] = max(
+                median_fixed_point_residual(pop, iv, q)
+                for data in (train_set, test_set)
+                for iv, q in zip(data.interventions, data.q)
+            )
+    report["delta_hat"] = [float(x) for x in delta.delta_hat]
+    report["delta_method"] = delta.method
     report["final_train_loss"] = float(result.curve[-1])
     report["first_train_loss"] = float(result.curve[0])
-    if cfg.mechanism == "median":
-        report["median_residual"] = median_fixed_point_residual_max(
-            pop, result.train_set, test_set
-        )
     report["thresholds"] = THRESHOLDS[cfg.mechanism]
     ok = _check_thresholds(report)
     report["thresholds_ok"] = ok
 
-    paths = {
-        "ground_truth_train.csv": out_dir / "ground_truth_train.csv",
-        "ground_truth_test.csv": out_dir / "ground_truth_test.csv",
-        "table1_row.csv": out_dir / "table1_row.csv",
-        "per_country.csv": out_dir / "per_country.csv",
-        "training_curve.csv": out_dir / "training_curve.csv",
-        "report.json": out_dir / "report.json",
+    if cfg.mechanism == "vcg":
+        per_country_header = "country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q"
+        columns = [report["mae_delta"], report["mae_alpha"]]
+    else:
+        per_country_header = "country,citizens,mae_q,baseline_mae_q"
+        columns = []
+    columns += [report["per_country_mae"], report["per_country_baseline_mae"]]
+    tables = {
+        f"ground_truth_{part}.csv": (
+            "intervention_id,country,q_c,Q_W",
+            [(j, c, q_c, q.sum()) for j, q in enumerate(data.q) for c, q_c in enumerate(q)],
+        )
+        for part, data in (("train", train_set), ("test", test_set))
     }
-    _write_ground_truth_csv(paths["ground_truth_train.csv"], result.train_set)
-    _write_ground_truth_csv(paths["ground_truth_test.csv"], test_set)
-    _write_table1_row(paths["table1_row.csv"], report)
-    _write_per_country(paths["per_country.csv"], report, pop)
-    _write_training_curve(paths["training_curve.csv"], result.curve)
-    _atomic_write_json(paths["report.json"], report)
+    tables |= {
+        "table1_row.csv": (
+            "mechanism,model_mae,baseline_mae,improvement",
+            [(cfg.mechanism, report["model_mae"], report["baseline_mae"], report["improvement"])],
+        ),
+        "per_country.csv": (
+            per_country_header,
+            [(c, pop.sizes[c], *values) for c, values in enumerate(zip(*columns))],
+        ),
+        "training_curve.csv": ("epoch,mean_loss", list(enumerate(result.curve))),
+    }
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
+    _atomic_write_json(out_dir / "report.json", report)
 
     duration = time.perf_counter() - start
-    artifacts = {name: _sha256(p) for name, p in paths.items()}
+    artifacts = {name: _sha256(out_dir / name) for name in [*tables, "report.json"]}
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
-        "seeds": {"root": cfg.seed},
+        "seeds": {"root": cfg.seed, **seeds},
+        "stage_seconds": stage_seconds,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "artifacts": artifacts,
         "duration_seconds": duration,
         "thresholds_ok": ok,

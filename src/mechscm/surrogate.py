@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from mechscm.abstraction import InterventionMapping, OmegaVar, PredicateDomain
+from mechscm.core import Setting, mech
 from mechscm.voting import (
     Intervention,
     Population,
@@ -62,6 +64,12 @@ class NonFinite(ArithmeticError):
 
 class DegenerateDesign(ValueError):
     """The regression design had (numerically) no variation."""
+
+
+def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    """The seed as a SeedSequence.  A SeedSequence passed in is returned
+    as is, so spawning from it advances the caller's own sequence."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -264,31 +272,24 @@ def make_dataset(
     damping: float = 0.3,
     tol: float = 1e-6,
     max_iter: int = 10_000,
-    executor=None,
 ) -> GroundTruthSet:
     """Sampled interventions plus their ground-truth equilibria.  The
     stochastic dictator mechanism draws fresh seeded dictators per
     intervention."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    iv_seed, draw_seed = ss.spawn(2)
+    iv_seed, draw_seed = _seed_sequence(seed).spawn(2)
     ivs = sample_interventions(pop, iv_seed, n)
-    draw_children = draw_seed.spawn(n)
-
-    def solve(j: int) -> np.ndarray:
-        return solve_mechanism(
+    rows = [
+        solve_mechanism(
             mechanism,
             pop,
-            ivs[j],
-            dictator_seed=draw_children[j],
+            iv,
+            dictator_seed=child,
             damping=damping,
             tol=tol,
             max_iter=max_iter,
         ).q
-
-    if executor is None:
-        rows = [solve(j) for j in range(n)]
-    else:
-        rows = list(executor.map(solve, range(n)))
+        for iv, child in zip(ivs, draw_seed.spawn(n))
+    ]
     return GroundTruthSet(interventions=tuple(ivs), q=np.stack(rows))
 
 
@@ -318,8 +319,7 @@ def estimate_delta(
         )
         return DeltaEstimate(delta_hat=delta, method="plug_in")
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(pop.n_countries)
+    children = _seed_sequence(seed).spawn(pop.n_countries)
     delta = np.empty(pop.n_countries)
     ses = np.empty(pop.n_countries)
     points = []
@@ -373,7 +373,6 @@ def train(
     damping: float = 0.3,
     tol: float = 1e-6,
     max_iter: int = 10_000,
-    executor=None,
 ) -> TrainResult:
     """Estimate delta, generate (or accept) ground truth, then minibatch Adam
     for the configured epochs with per-epoch seeded shuffling."""
@@ -394,7 +393,6 @@ def train(
             damping=damping,
             tol=tol,
             max_iter=max_iter,
-            executor=executor,
         )
 
     lam_all = np.stack([iv.lam for iv in train_set.interventions])
@@ -478,8 +476,7 @@ def dictator_baseline(
 ) -> np.ndarray:
     """Average un-intervened equilibrium over seeded dictator redraws."""
     zero = Intervention.zero(pop)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(n_draws)
+    children = _seed_sequence(seed).spawn(n_draws)
     acc = np.zeros(pop.n_countries)
     for child in children:
         acc += random_dictator_ne(pop, zero, seed=child).q
@@ -491,13 +488,13 @@ def stochastic_floor(
     test_set: GroundTruthSet,
     n_interventions: int = 20,
     n_redraws: int = 100,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
 ) -> float:
     """Outcome dispersion inherent to the dictator draw: the mean (over
     interventions) of the per-country mean absolute deviation of the
     equilibrium across redraws, summed over countries.  A deterministic
     predictor's expected error cannot fall below this level."""
-    children = np.random.SeedSequence(seed).spawn(n_interventions * n_redraws)
+    children = _seed_sequence(seed).spawn(n_interventions * n_redraws)
     total = 0.0
     for j in range(n_interventions):
         iv = test_set.interventions[j % len(test_set.interventions)]
@@ -575,9 +572,6 @@ def omega_intervention_mapping(pop: Population, net: OmegaNetwork, delta: DeltaE
     """Package the trained network plus fixed delta estimates as a partial
     intervention mapping from the per-citizen preference mechanisms to the
     single country-level utility-parameter mechanism."""
-    from mechscm.abstraction import InterventionMapping, OmegaVar, PredicateDomain
-    from mechscm.core import Setting, mech
-
     citizen_vars = tuple(
         mech(f"u_c{c}_i{i}")
         for c in range(pop.n_countries)

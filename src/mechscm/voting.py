@@ -198,22 +198,29 @@ def _citizen_lambdas(mean: float, size: int, rng: np.random.Generator) -> np.nda
     return rng.beta(shape_a, shape_b, size=size) * LAMBDA_MAX
 
 
-def sample_interventions(pop: Population, seed: int, n: int) -> list:
+def _draw_interventions(pop: Population, seed: int, n: int, untouched: int | None = None) -> list:
     """Each draw samples a per-country mean uniform on [0, LAMBDA_MAX] and
-    then citizen values around it."""
+    then citizen values around it; country ``untouched`` keeps lambda zero
+    and draws no citizen values."""
     if n < 1:
         raise InvalidConfig("need n >= 1 interventions")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         means = rng.uniform(0.0, LAMBDA_MAX, size=pop.n_countries)
-        lam = np.empty(pop.total)
+        lam = np.zeros(pop.total)
         for c in range(pop.n_countries):
-            lam[pop.country_slice(c)] = _citizen_lambdas(means[c], pop.sizes[c], rng)
+            if c != untouched:
+                lam[pop.country_slice(c)] = _citizen_lambdas(means[c], pop.sizes[c], rng)
         iv = Intervention(lam)
         iv.validate_for(pop)
         out.append(iv)
     return out
+
+
+def sample_interventions(pop: Population, seed: int, n: int) -> list:
+    """Seeded interventions that perturb every country."""
+    return _draw_interventions(pop, seed, n)
 
 
 def zero_on_country_interventions(
@@ -223,22 +230,7 @@ def zero_on_country_interventions(
     countries, used to trace out the equilibrium line for one country."""
     if not 0 <= c < pop.n_countries:
         raise InvalidConfig(f"no country {c}")
-    if n < 1:
-        raise InvalidConfig("need n >= 1 interventions")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        means = rng.uniform(0.0, LAMBDA_MAX, size=pop.n_countries)
-        lam = np.empty(pop.total)
-        for ci in range(pop.n_countries):
-            if ci == c:
-                lam[pop.country_slice(ci)] = 0.0
-            else:
-                lam[pop.country_slice(ci)] = _citizen_lambdas(means[ci], pop.sizes[ci], rng)
-        iv = Intervention(lam)
-        iv.validate_for(pop)
-        out.append(iv)
-    return out
+    return _draw_interventions(pop, seed, n, untouched=c)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ the non-emergence precondition checker."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechscm.core import (
     EMPTY_SETTING,
@@ -128,6 +130,46 @@ def test_dists_match_symmetric_and_cardinality():
     close = exact_distribution({Setting({A: 0}): 0.5 + 1e-12, Setting({A: 1}): 0.5 - 1e-12})
     ok_close, worst = dists_match([both], [close], tol=1e-9)
     assert ok_close and worst <= 1e-9
+
+
+def _coin(p1):
+    X = obj("X")
+    return exact_distribution({Setting({X: 0}): 1.0 - p1, Setting({X: 1}): p1})
+
+
+def test_dists_match_finds_the_best_pairing():
+    # Pairing 0.50 with its nearest, 0.55, leaves 0.55 -> 0.44 (0.11); the
+    # best pairing, 0.50 -> 0.44 and 0.55 -> 0.55, gives 0.06.
+    left, right = [_coin(0.50), _coin(0.55)], [_coin(0.55), _coin(0.44)]
+    for a, b in ((left, right), (left[::-1], right), (right, left)):
+        ok, worst = dists_match(a, b, tol=0.1)
+        assert ok and worst == pytest.approx(0.06)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 20), min_size=1, max_size=5).flatmap(
+        lambda left: st.tuples(
+            st.just(left),
+            st.lists(st.integers(0, 20), min_size=len(left), max_size=len(left)),
+            st.permutations(range(len(left))),
+            st.permutations(range(len(left))),
+        )
+    ),
+    st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+)
+def test_dists_match_is_the_bottleneck_matching(case, tol):
+    left, right, perm_left, perm_right = case
+    set1 = [_coin(k / 20) for k in left]
+    set2 = [_coin(k / 20) for k in right]
+    expected = dists_match(set1, set2, tol)
+    best = min(
+        max(dists_match([d1], [set2[j]], tol)[1] for d1, j in zip(set1, perm))
+        for perm in itertools.permutations(range(len(set2)))
+    )
+    assert expected == (best <= tol, best)
+    assert dists_match([set1[i] for i in perm_left], [set2[i] for i in perm_right], tol) == expected
+    assert dists_match(set2, set1, tol) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,10 @@ def test_dictator_floor_exceeds_deterministic_reach():
     test_set = make_dataset("dictator", pop, 10, np.random.SeedSequence(6))
     floor = stochastic_floor(pop, test_set, n_interventions=5, n_redraws=40, seed=0)
     assert floor > 0.0
+    # A SeedSequence seed is accepted and draws the same stream as its int.
+    assert stochastic_floor(
+        pop, test_set, n_interventions=5, n_redraws=40, seed=np.random.SeedSequence(0)
+    ) == floor
     res = train(pop, "dictator", small_cfg())
     rep = evaluate(res.net, res.delta, pop, "dictator", test_set, baseline_draws=500)
     assert rep.stochastic_floor is not None and rep.stochastic_floor > 0.0
