@@ -225,9 +225,6 @@ class OmegaVar:
 class InterventionMapping:
     per_var: Mapping[VarId, OmegaVar]
 
-    def collections(self) -> Mapping[VarId, tuple]:
-        return {hv: ov.low_vars for hv, ov in self.per_var.items()}
-
 
 def push_omega(a: Optional[Alignment], w: InterventionMapping, low_intervention: Setting):
     """Translate a low-level mechanism intervention covering whole collections
@@ -270,21 +267,21 @@ def push_omega(a: Optional[Alignment], w: InterventionMapping, low_intervention:
 # Distribution-set matching
 
 
-def _dist_distance(d1: Distribution, d2: Distribution, value_tol: float) -> float:
+def _dist_distance(d1: Distribution, d2: Distribution) -> float:
     """Sup-norm between two exact distributions, aligning atoms by
     value-closeness and treating unmatched atoms as probability zero."""
     worst = 0.0
     for s1, p1 in d1.atoms:
         p2 = 0.0
         for s2, q in d2.atoms:
-            if s1.close_to(s2, value_tol):
+            if s1.close_to(s2):
                 p2 = q
                 break
         worst = max(worst, abs(p1 - p2))
     for s2, p2 in d2.atoms:
         p1 = 0.0
         for s1, q in d1.atoms:
-            if s2.close_to(s1, value_tol):
+            if s2.close_to(s1):
                 p1 = q
                 break
         worst = max(worst, abs(p2 - p1))
@@ -295,7 +292,6 @@ def dists_match(
     set1: Sequence[Distribution],
     set2: Sequence[Distribution],
     tol: float,
-    value_tol: float = 1e-9,
 ):
     """Match two finite sets of distributions as sets: ``max_mismatch`` is
     the least, over one-to-one pairings, of the largest paired distance (the
@@ -308,7 +304,7 @@ def dists_match(
         # sampled comparisons fall back to total variation
         dist_fn = lambda a, b: a.tv_distance(b)
     else:
-        dist_fn = lambda a, b: _dist_distance(a, b, value_tol)
+        dist_fn = _dist_distance
     dist = [[dist_fn(d1, d2) for d2 in set2] for d1 in set1]
     limits = sorted({x for row in dist for x in row})
     worst = next((t for t in limits if _has_perfect_matching(dist, t)), 0.0)

@@ -472,22 +472,12 @@ def _check_intervention_vars(m: DeterministicSCM, intervention: Setting) -> None
         raise ValueError(f"intervention targets unknown variables: {unknown}")
 
 
-def solve_enumerate(
-    m: DeterministicSCM,
-    intervention: Setting = EMPTY_SETTING,
-    *,
-    use_analytic: bool = True,
-    tol: float = FLOAT_TOL,
-) -> frozenset:
+def solve_enumerate(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) -> frozenset:
     """All joint settings satisfying every non-intervened assignment and
     matching the intervention exactly.  Non-intervened variables must have
-    enumerable domains."""
+    enumerable domains.  A registered analytic solution set is not consulted
+    here; ``solution_set`` does that."""
     _check_intervention_vars(m, intervention)
-    if use_analytic and m.analytic_solutions is not None:
-        registered = m.analytic_solutions(intervention)
-        if registered is not None:
-            return frozenset(registered)
-
     free = [v for v in m.variables if v not in intervention.vars]
     for v in free:
         if not m.domains[v].is_enumerable:
@@ -510,7 +500,7 @@ def solve_enumerate(
     for combo in itertools.product(*free_values):
         joint = dict(pinned)
         joint.update(zip(free, combo))
-        if all(values_close(response(v, joint), joint[v], tol) for v in free):
+        if all(values_close(response(v, joint), joint[v]) for v in free):
             solutions.append(Setting(joint))
     return frozenset(solutions)
 
@@ -617,12 +607,7 @@ def solve_fixed_point(
     )
 
 
-def solution_set(
-    m: DeterministicSCM,
-    intervention: Setting = EMPTY_SETTING,
-    *,
-    tol: float = FLOAT_TOL,
-) -> frozenset:
+def solution_set(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) -> frozenset:
     """Solution set under an intervention: a registered analytic set if
     there is one, else the forward solver on declared acyclic structure, else
     enumeration."""
@@ -632,7 +617,7 @@ def solution_set(
             return frozenset(registered)
     if m.topological_order() is not None:
         return frozenset([solve_acyclic(m, intervention)])
-    return solve_enumerate(m, intervention, use_analytic=False, tol=tol)
+    return solve_enumerate(m, intervention)
 
 
 # ---------------------------------------------------------------------------
@@ -877,9 +862,6 @@ class Distribution:
     def n_samples(self) -> int:
         return len(self.samples)
 
-    def support(self) -> tuple:
-        return tuple(s for s, _ in self.atoms)
-
     def prob(self, setting: Setting, tol: float = FLOAT_TOL) -> float:
         total = 0.0
         for s, p in self.atoms:
@@ -978,6 +960,8 @@ def distribution(
         return exact_distribution(table)
 
     if mode == "sample":
+        if n < 1:
+            raise ValueError(f"sample mode needs n >= 1, got {n}")
         rng = np.random.default_rng(seed)
         samples = []
         for _ in range(n):

@@ -12,11 +12,15 @@ Artifacts written to the output directory (every CSV number is written as
     per_country.csv      vcg: country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q
                          others: country,citizens,mae_q,baseline_mae_q
     training_curve.csv   header: epoch,mean_loss
-    manifest.json        keys: command; config (resolved); seeds (root plus one
-                         int per ``SEED_STAGES`` entry); stage_seconds (delta,
-                         data, train, eval); versions (python, numpy); artifacts
-                         (sha256 of each file above); duration_seconds;
-                         thresholds_ok
+    manifest.json        keys: config (``ExperimentConfig.to_dict``); seeds
+                         (root plus one int per ``SEED_STAGES`` entry);
+                         stage_seconds (delta, data, train, eval); versions
+                         (python, numpy); artifacts (sha256 of each file
+                         above); duration_seconds; thresholds_ok
+
+The configuration sets the population, the data sizes and the training
+only.  Every median equilibrium (delta probes, data, warm start and
+baseline alike) is solved at ``voting.median_ne``'s own settings.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -51,7 +54,6 @@ from mechscm.voting import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "load_config",
     "run_experiment",
     "ExperimentResult",
     "THRESHOLDS",
@@ -84,9 +86,6 @@ class ExperimentConfig:
     b_range: tuple = (7.0, 13.0)
     d_range: tuple = (0.05, 0.15)
     size_sigma: float = 0.5
-    damping: float = 0.3
-    tol: float = 1e-6
-    max_iter: int = 10_000
     n_train: int = 1000
     n_test: int = 500
     epochs: int = 100
@@ -107,25 +106,6 @@ class ExperimentConfig:
         for key in ("a_range", "b_range", "d_range"):
             out[key] = list(out[key])
         return out
-
-
-def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    raw.update(overrides or {})
-    for key in ("a_range", "b_range", "d_range"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**raw)
 
 
 @dataclass
@@ -178,9 +158,7 @@ def _check_thresholds(report: dict) -> bool:
     return True
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir, command: str = "experiment run"
-) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     """Generate the population, estimate delta, draw disjoint train and test
     sets, fit the surrogate, evaluate, and emit all artifacts plus the
     manifest.  Fully deterministic given the config."""
@@ -191,7 +169,6 @@ def run_experiment(
     # place, so a second use of one would draw different values.
     state = np.random.SeedSequence(cfg.seed).generate_state(len(SEED_STAGES))
     seeds = {name: int(x) for name, x in zip(SEED_STAGES, state)}
-    solver = {"damping": cfg.damping, "tol": cfg.tol, "max_iter": cfg.max_iter}
     stage_seconds = {}
 
     @contextmanager
@@ -207,22 +184,18 @@ def run_experiment(
         ranges=cfg.ranges(),
     )
     with stage("delta"):
-        delta = estimate_delta(cfg.mechanism, pop, seeds["delta"], **solver)
+        delta = estimate_delta(cfg.mechanism, pop, seeds["delta"])
     with stage("data"):
-        train_set = make_dataset(cfg.mechanism, pop, cfg.n_train, seeds["train_data"], **solver)
-        test_set = make_dataset(cfg.mechanism, pop, cfg.n_test, seeds["test_data"], **solver)
+        train_set = make_dataset(cfg.mechanism, pop, cfg.n_train, seeds["train_data"])
+        test_set = make_dataset(cfg.mechanism, pop, cfg.n_test, seeds["test_data"])
     with stage("train"):
         train_cfg = TrainConfig(
-            n_train=cfg.n_train,
-            n_test=cfg.n_test,
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate,
             seed=seeds["init"],
         )
-        result = train(
-            pop, cfg.mechanism, train_cfg, train_set=train_set, delta=delta, **solver
-        )
+        result = train(pop, cfg.mechanism, train_cfg, train_set=train_set, delta=delta)
     with stage("eval"):
         report = evaluate(
             result.net,
@@ -279,7 +252,6 @@ def run_experiment(
     duration = time.perf_counter() - start
     artifacts = {name: _sha256(out_dir / name) for name in [*tables, "report.json"]}
     manifest = {
-        "command": command,
         "config": cfg.to_dict(),
         "seeds": {"root": cfg.seed, **seeds},
         "stage_seconds": stage_seconds,

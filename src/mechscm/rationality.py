@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from mechscm.core import (
+    FLOAT_TOL,
     DeterministicSCM,
     EmptyDomain,
     MechSCMError,
@@ -157,7 +158,6 @@ def best_response_set(
     context: Setting,
     u: UtilityFn,
     tie_tol: float = TIE_TOL,
-    mode: str = "exact",
 ) -> tuple:
     """All values of the target within ``tie_tol`` of the maximal expected
     utility over its (finite or discretized) domain."""
@@ -165,7 +165,7 @@ def best_response_set(
     if not candidates:
         raise EmptyDomain(f"domain of {target!r} is empty")
     scored = [
-        (expected_utility(m, context.set(target, v), u, mode=mode), v)
+        (expected_utility(m, context.set(target, v), u), v)
         for v in candidates
     ]
     best = max(score for score, _ in scored)
@@ -222,12 +222,12 @@ def _conditional_table(m: MechanizedSCM, full_setting: Setting, target_obj: VarI
     return table
 
 
-def _tables_differ(t1: dict, t2: dict, tol: float) -> bool:
+def _tables_differ(t1: dict, t2: dict) -> bool:
     common = set(t1) & set(t2)
     for key in common:
         support = set(t1[key]) | set(t2[key])
         for v in support:
-            if abs(t1[key].get(v, 0.0) - t2[key].get(v, 0.0)) > tol:
+            if abs(t1[key].get(v, 0.0) - t2[key].get(v, 0.0)) > FLOAT_TOL:
                 return True
     return False
 
@@ -251,7 +251,6 @@ def is_nontrivial_agent(
     u: UtilityFn,
     contexts: Iterable[Setting],
     tie_tol: float = TIE_TOL,
-    tol: float = 1e-9,
 ) -> NontrivialVerdict:
     """Agent whose induced conditional P(S | PA_S) actually varies across the
     supplied contexts.  Conditionals are compared only on parent
@@ -273,10 +272,10 @@ def is_nontrivial_agent(
     first_ctx = contexts[0]
     first = table_for(first_ctx)
     # Linear witness search against the first context's conditional; exact
-    # tables in practice are either identical or differ well beyond tol.
+    # tables in practice are either identical or differ well beyond FLOAT_TOL.
     for ctx in contexts[1:]:
         t = table_for(ctx)
-        if _tables_differ(first, t, tol):
+        if _tables_differ(first, t):
             return NontrivialVerdict(True, (first_ctx, ctx), verdict, tuple(sorted(flagged, key=canon_key)))
         flagged.update(set(first).symmetric_difference(set(t)))
     return NontrivialVerdict(False, None, verdict, tuple(sorted(flagged, key=canon_key)))

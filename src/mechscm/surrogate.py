@@ -56,6 +56,7 @@ __all__ = [
 MECHANISMS = ("vcg", "median", "dictator")
 INPUT_SCALE = 10.0  # lambda in [0, 0.1] scaled to [0, 1]
 HIDDEN_WIDTHS = (128, 256, 256, 128)
+DELTA_PROBES = 10  # interventions sparing a country, per delta regression
 
 
 class NonFinite(ArithmeticError):
@@ -132,12 +133,6 @@ class OmegaNetwork:
     @property
     def widths(self) -> tuple:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
 
     def forward_cached(self, lam: np.ndarray):
         """Returns (output, pre-activations per layer, activations per layer)
@@ -250,14 +245,11 @@ def solve_mechanism(
     iv: Intervention,
     *,
     dictator_seed=None,
-    damping: float = 0.3,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
 ):
     if mechanism == "vcg":
         return vcg_ne(pop, iv)
     if mechanism == "median":
-        return median_ne(pop, iv, damping=damping, tol=tol, max_iter=max_iter)
+        return median_ne(pop, iv)
     if mechanism == "dictator":
         return random_dictator_ne(pop, iv, seed=dictator_seed)
     raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -268,10 +260,6 @@ def make_dataset(
     pop: Population,
     n: int,
     seed: int | np.random.SeedSequence,
-    *,
-    damping: float = 0.3,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
 ) -> GroundTruthSet:
     """Sampled interventions plus their ground-truth equilibria.  The
     stochastic dictator mechanism draws fresh seeded dictators per
@@ -279,15 +267,7 @@ def make_dataset(
     iv_seed, draw_seed = _seed_sequence(seed).spawn(2)
     ivs = sample_interventions(pop, iv_seed, n)
     rows = [
-        solve_mechanism(
-            mechanism,
-            pop,
-            iv,
-            dictator_seed=child,
-            damping=damping,
-            tol=tol,
-            max_iter=max_iter,
-        ).q
+        solve_mechanism(mechanism, pop, iv, dictator_seed=child).q
         for iv, child in zip(ivs, draw_seed.spawn(n))
     ]
     return GroundTruthSet(interventions=tuple(ivs), q=np.stack(rows))
@@ -301,11 +281,6 @@ def estimate_delta(
     mechanism: str,
     pop: Population,
     seed: int | np.random.SeedSequence,
-    *,
-    n_per_country: int = 10,
-    damping: float = 0.3,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
 ) -> DeltaEstimate:
     """Regression of q_c on Q_W over interventions sparing country c (the
     equilibrium line has slope -delta_c); the dictator mechanism instead
@@ -324,15 +299,8 @@ def estimate_delta(
     ses = np.empty(pop.n_countries)
     points = []
     for c in range(pop.n_countries):
-        ivs = zero_on_country_interventions(pop, c, children[c], n=n_per_country)
-        qs = np.array(
-            [
-                solve_mechanism(
-                    mechanism, pop, iv, damping=damping, tol=tol, max_iter=max_iter
-                ).q
-                for iv in ivs
-            ]
-        )
+        ivs = zero_on_country_interventions(pop, c, children[c], n=DELTA_PROBES)
+        qs = np.array([solve_mechanism(mechanism, pop, iv).q for iv in ivs])
         x = qs.sum(axis=1)
         y = qs[:, c]
         x_var = float(np.var(x))
@@ -358,9 +326,7 @@ def estimate_delta(
 @dataclass
 class TrainResult:
     net: OmegaNetwork
-    delta: DeltaEstimate
     curve: np.ndarray  # per-epoch mean per-sample loss
-    train_set: GroundTruthSet
 
 
 def train(
@@ -368,32 +334,19 @@ def train(
     mechanism: str,
     cfg: TrainConfig = TrainConfig(),
     *,
-    train_set: Optional[GroundTruthSet] = None,
-    delta: Optional[DeltaEstimate] = None,
-    damping: float = 0.3,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
+    train_set: GroundTruthSet,
+    delta: DeltaEstimate,
 ) -> TrainResult:
-    """Estimate delta, generate (or accept) ground truth, then minibatch Adam
-    for the configured epochs with per-epoch seeded shuffling."""
+    """Fit the network to the given ground truth through the equilibrium
+    layer at the given delta estimate: output bias warm-started at the
+    un-intervened ratios, then minibatch Adam for the configured epochs with
+    per-epoch seeded shuffling."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    ss = np.random.SeedSequence(cfg.seed)
-    delta_seed, data_seed, init_seed, warm_seed, shuffle_seed = ss.spawn(5)
-    if delta is None:
-        delta = estimate_delta(
-            mechanism, pop, delta_seed, damping=damping, tol=tol, max_iter=max_iter
-        )
-    if train_set is None:
-        train_set = make_dataset(
-            mechanism,
-            pop,
-            cfg.n_train,
-            data_seed,
-            damping=damping,
-            tol=tol,
-            max_iter=max_iter,
-        )
+    # Children 0 and 1 seeded the delta estimate and the training data when
+    # train drew them itself; skipping them keeps every trained network
+    # bit-identical to those runs.
+    init_seed, warm_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(5)[2:]
 
     lam_all = np.stack([iv.lam for iv in train_set.interventions])
     q_all = train_set.q
@@ -404,9 +357,7 @@ def train(
     if mechanism == "dictator":
         q0 = dictator_baseline(pop, n_draws=200, seed=warm_seed)
     else:
-        q0 = solve_mechanism(
-            mechanism, pop, Intervention.zero(pop), damping=damping, tol=tol, max_iter=max_iter
-        ).q
+        q0 = solve_mechanism(mechanism, pop, Intervention.zero(pop)).q
     net.biases[-1][:] = 2.0 * (q0 + delta.delta_hat * float(q0.sum()))
     params = net.weights + net.biases
     m_state = [np.zeros_like(p) for p in params]
@@ -429,7 +380,7 @@ def train(
             adam_step(net, m_state, v_state, gw, gb, cfg, t)
             epoch_loss += loss * len(idx)
         curve[epoch] = epoch_loss / n
-    return TrainResult(net=net, delta=delta, curve=curve, train_set=train_set)
+    return TrainResult(net=net, curve=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +426,8 @@ def dictator_baseline(
     pop: Population, n_draws: int = 10_000, seed: int | np.random.SeedSequence = 0
 ) -> np.ndarray:
     """Average un-intervened equilibrium over seeded dictator redraws."""
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     zero = Intervention.zero(pop)
     children = _seed_sequence(seed).spawn(n_draws)
     acc = np.zeros(pop.n_countries)
@@ -494,6 +447,10 @@ def stochastic_floor(
     interventions) of the per-country mean absolute deviation of the
     equilibrium across redraws, summed over countries.  A deterministic
     predictor's expected error cannot fall below this level."""
+    if min(n_interventions, n_redraws) < 1:
+        raise ValueError(
+            f"n_interventions and n_redraws must be at least 1, got {n_interventions}, {n_redraws}"
+        )
     children = _seed_sequence(seed).spawn(n_interventions * n_redraws)
     total = 0.0
     for j in range(n_interventions):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzgen
+from mechscm.abstraction import full_subset_suite, identity_maps
 from mechscm.core import (
     EMPTY_SETTING,
     BernoulliAssign,
@@ -315,6 +317,14 @@ def test_exact_mode_rejects_continuous_noise():
     assert emp.n_samples == 10
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_mode_rejects_empty_count(n):
+    # an empty sample would divide by zero in expectation
+    ind = two_var_chain().obj_model.at({obj("A"): 0.5, obj("B"): 1})
+    with pytest.raises(ValueError, match="n >= 1"):
+        distribution(ind, mode="sample", n=n)
+
+
 def test_solution_distributions_fully_intervened_is_single():
     m = two_var_chain()
     iv = Setting({mech("A"): 0.5, mech("B"): 1})
@@ -353,3 +363,14 @@ def test_kernel_assign_sampling_matches_kernel():
     exact = distribution(ind, mode="exact")
     emp = distribution(ind, mode="sample", n=50_000, seed=3)
     assert exact.tv_distance(emp) < 0.02
+
+
+@given(st.integers(0, 2**16), st.integers(0, 199))
+@settings(max_examples=60, deadline=None)
+def test_solution_set_agrees_with_enumeration_on_fuzz_models(seed, index):
+    # the forward solver on acyclic mechanism layers, enumeration on cyclic
+    # ones; both must give the brute-force solution set
+    low = fuzzgen.random_case(seed, index).low
+    _, _, w = identity_maps(low)
+    for iv in full_subset_suite(w)[:30]:
+        assert solution_set(low.mech_model, iv) == solve_enumerate(low.mech_model, iv)

@@ -78,7 +78,7 @@ def test_bos_grid_solver_cross_check():
     equilibria; every grid solution lies within one grid step of a registered
     one, and each registered equilibrium satisfies epsilon-best-response."""
     bos = battle_of_sexes(grid_step=0.01)
-    grid_sols = solve_enumerate(bos.mech_model, use_analytic=False)
+    grid_sols = solve_enumerate(bos.mech_model)
     pairs = {(s[TD1], s[TD2]) for s in grid_sols}
     assert pairs == {(0.0, 0.0), (1.0, 1.0)}
     analytic = bos_analytic_equilibria()

@@ -4,7 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fuzzgen
+from mechscm.abstraction import full_subset_suite, identity_maps
 from mechscm.core import NonFiniteDomain, Setting, mech, solution_set, solution_distributions
 from mechscm.examples import (
     actor_critic_pair,
@@ -38,7 +42,7 @@ def test_battle_of_sexes_round_trip_grid_behavior():
     from mechscm.core import solve_enumerate
 
     got = solve_enumerate(reloaded.mech_model)
-    want = solve_enumerate(m.mech_model, use_analytic=False)
+    want = solve_enumerate(m.mech_model)
     assert got == want
     from mechscm.core import distribution, induce_scm, setting_sort_key
 
@@ -76,3 +80,15 @@ def test_golden_file_schema_stable():
         "object_tables",
         "variables",
     ]
+
+
+@given(st.integers(0, 2**16), st.integers(0, 199))
+@settings(max_examples=60, deadline=None)
+def test_round_trip_preserves_solution_distributions_on_fuzz_models(seed, index):
+    low = fuzzgen.random_case(seed, index).low
+    reloaded = model_from_dict(model_to_dict(low))
+    _, _, w = identity_maps(low)
+    for iv in full_subset_suite(w)[:30]:
+        got = solution_distributions(reloaded, iv)
+        want = solution_distributions(low, iv)
+        assert [d.atoms for d in got] == [d.atoms for d in want]

@@ -11,7 +11,6 @@ from mechscm.core import (
     FiniteDomain,
     MechanizedSCM,
     ParameterizedSCM,
-    Setting,
     mech,
     obj,
 )
@@ -19,12 +18,18 @@ from mechscm.abstraction import check_abstraction, check_strong, full_subset_sui
 from mechscm.quotient import quotient_abstraction
 from mechscm.rationality import (
     RationalityRelation,
-    UtilityFn,
     enumerate_contexts,
     is_nontrivial_agent,
 )
 
-from _fuzz import random_case, utility_registry
+import fuzzgen
+
+
+def quotient_case(index: int):
+    """The agent-fuzz generator's case ``index`` at seed 0 with its quotient
+    abstraction: (case, high, alignment, tau, omega)."""
+    case = fuzzgen.random_case(0, index)
+    return (case, *quotient_abstraction(case.low, case.groups))
 
 
 def two_constant_nodes():
@@ -60,14 +65,14 @@ def test_quotient_of_constant_pair_rules_out_nontrivial_agency():
     assert report.tau_injective and report.independent_mechanisms and report.conclusion
     rel = RationalityRelation.best_response(target)
     contexts = list(enumerate_contexts(high, target)) or [EMPTY_SETTING]
-    for u in utility_registry(high, seed=0):
+    for u in fuzzgen.utilities(high, 0, 0):
         assert not is_nontrivial_agent(high, target, rel, u, contexts)
 
 
 def test_quotient_is_strong_abstraction_small_case():
-    low, groups, target_index, high, a, t, w = random_case(seed=123)
+    case, high, a, t, w = quotient_case(123)
     suite = full_subset_suite(w, include_empty=True)
-    report = check_abstraction(low, high, a, t, w, suite[:60])
+    report = check_abstraction(case.low, high, a, t, w, suite[:60])
     assert report.ok
     high_domains = {v: high.mech_model.domains[v] for v in high.mech_vars}
     assert check_strong(w, high_domains).ok
@@ -92,23 +97,23 @@ def test_quotient_rejects_sibling_reading_mechanisms():
 def test_nonemergence_fuzz_200_cases():
     start = time.perf_counter()
     failures = []
-    for seed in range(200):
-        low, groups, target_index, high, a, t, w = random_case(seed)
-        target = high.mech_vars[target_index]
-        pre = prop1_preconditions(low, high, a, t, w, target)
+    for index in range(200):
+        case, high, a, t, w = quotient_case(index)
+        target = high.mech_vars[case.target_index]
+        pre = prop1_preconditions(case.low, high, a, t, w, target)
         if not pre.conclusion:
-            failures.append((seed, "preconditions"))
+            failures.append((index, "preconditions"))
             continue
         contexts = list(enumerate_contexts(high, target)) or [EMPTY_SETTING]
         rel = RationalityRelation.best_response(target)
-        for u in utility_registry(high, seed):
+        for u in fuzzgen.utilities(high, 0, index):
             if is_nontrivial_agent(high, target, rel, u, contexts):
-                failures.append((seed, u.label))
+                failures.append((index, u.label))
                 break
-        if seed % 20 == 0:
+        if index % 20 == 0:
             suite = (EMPTY_SETTING,) + full_subset_suite(w, include_empty=False)[:8]
-            if not check_abstraction(low, high, a, t, w, suite).ok:
-                failures.append((seed, "abstraction"))
+            if not check_abstraction(case.low, high, a, t, w, suite).ok:
+                failures.append((index, "abstraction"))
     elapsed = time.perf_counter() - start
     assert failures == []
     assert elapsed < 60.0

@@ -214,18 +214,27 @@ def small_cfg(seed=0):
     return TrainConfig(n_train=48, n_test=16, epochs=8, batch_size=16, seed=seed)
 
 
+def fit(pop, mechanism, cfg):
+    """Delta estimate and training data from the first two children of the
+    config seed, then the trained network: (delta, TrainResult)."""
+    delta_seed, data_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    delta = estimate_delta(mechanism, pop, delta_seed)
+    train_set = make_dataset(mechanism, pop, cfg.n_train, data_seed)
+    return delta, train(pop, mechanism, cfg, train_set=train_set, delta=delta)
+
+
 def test_training_curve_finite_and_decreasing():
     pop = tiny_population()
-    res = train(pop, "vcg", small_cfg())
+    _, res = fit(pop, "vcg", small_cfg())
     assert np.all(np.isfinite(res.curve))
     assert res.curve[-1] < res.curve[0]
 
 
 def test_training_deterministic():
     pop = tiny_population()
-    r1 = train(pop, "vcg", small_cfg(seed=7))
-    r2 = train(pop, "vcg", small_cfg(seed=7))
-    assert r1.delta.delta_hat.tobytes() == r2.delta.delta_hat.tobytes()
+    d1, r1 = fit(pop, "vcg", small_cfg(seed=7))
+    d2, r2 = fit(pop, "vcg", small_cfg(seed=7))
+    assert d1.delta_hat.tobytes() == d2.delta_hat.tobytes()
     assert abs(r1.curve[-1] - r2.curve[-1]) <= 1e-12
     assert all(
         np.array_equal(w1, w2) for w1, w2 in zip(r1.net.weights, r2.net.weights)
@@ -235,10 +244,10 @@ def test_training_deterministic():
 def test_baseline_independent_of_network():
     pop = tiny_population()
     test_set = make_dataset("vcg", pop, 12, np.random.SeedSequence(5))
-    res = train(pop, "vcg", small_cfg())
+    delta, res = fit(pop, "vcg", small_cfg())
     other = OmegaNetwork.init(pop.total, pop.n_countries, seed=99)
-    r1 = evaluate(res.net, res.delta, pop, "vcg", test_set)
-    r2 = evaluate(other, res.delta, pop, "vcg", test_set)
+    r1 = evaluate(res.net, delta, pop, "vcg", test_set)
+    r2 = evaluate(other, delta, pop, "vcg", test_set)
     assert r1.baseline_mae == r2.baseline_mae
     assert np.array_equal(r1.per_country_baseline_mae, r2.per_country_baseline_mae)
 
@@ -252,11 +261,34 @@ def test_dictator_floor_exceeds_deterministic_reach():
     assert stochastic_floor(
         pop, test_set, n_interventions=5, n_redraws=40, seed=np.random.SeedSequence(0)
     ) == floor
-    res = train(pop, "dictator", small_cfg())
-    rep = evaluate(res.net, res.delta, pop, "dictator", test_set, baseline_draws=500)
+    delta, res = fit(pop, "dictator", small_cfg())
+    rep = evaluate(res.net, delta, pop, "dictator", test_set, baseline_draws=500)
     assert rep.stochastic_floor is not None and rep.stochastic_floor > 0.0
     # a deterministic predictor cannot beat the draw dispersion
     assert rep.model_mae > 0.25 * rep.stochastic_floor
+
+
+@pytest.mark.parametrize(
+    "counts", [{"n_interventions": 0}, {"n_redraws": 0}, {"n_interventions": -1}]
+)
+def test_stochastic_floor_rejects_empty_counts(counts):
+    pop = tiny_population()
+    test_set = make_dataset("dictator", pop, 4, 0)
+    with pytest.raises(ValueError, match="n_interventions and n_redraws"):
+        stochastic_floor(pop, test_set, seed=0, **counts)
+
+
+def test_dictator_baseline_rejects_no_draws():
+    # zero draws would average to a NaN baseline, which evaluate would
+    # report as baseline_mae = nan
+    pop = tiny_population()
+    with pytest.raises(ValueError, match="n_draws"):
+        dictator_baseline(pop, n_draws=0)
+    test_set = make_dataset("dictator", pop, 4, 0)
+    net = OmegaNetwork.init(pop.total, pop.n_countries, hidden=(4,), seed=0)
+    delta = estimate_delta("dictator", pop, 0)
+    with pytest.raises(ValueError, match="n_draws"):
+        evaluate(net, delta, pop, "dictator", test_set, baseline_draws=0)
 
 
 def test_dictator_baseline_deterministic():
@@ -271,12 +303,12 @@ def test_omega_intervention_mapping_roundtrip():
     from mechscm.core import Setting, mech
 
     pop = tiny_population()
-    res = train(pop, "vcg", small_cfg())
-    mapping = omega_intervention_mapping(pop, res.net, res.delta)
+    delta, res = fit(pop, "vcg", small_cfg())
+    mapping = omega_intervention_mapping(pop, res.net, delta)
     ov = mapping.per_var[mech("U*")]
     lam = np.linspace(0.0, 0.1, pop.total)
     low_iv = Setting(dict(zip(ov.low_vars, lam.tolist())))
     high = push_omega(None, mapping, low_iv)
     alpha_hat, delta_hat = high[mech("U*")]
     assert np.allclose(alpha_hat, forward(res.net, lam))
-    assert np.allclose(delta_hat, res.delta.delta_hat)
+    assert np.allclose(delta_hat, delta.delta_hat)
