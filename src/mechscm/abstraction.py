@@ -27,6 +27,8 @@ from mechscm.core import (
     Setting,
     VarId,
     canon_key,
+    check_sample_count,
+    check_target,
     distribution,  # noqa: F401  (perfbench's tracer expects it in this namespace)
     solution_distributions,
     values_close,
@@ -300,7 +302,7 @@ def dists_match(
     set1, set2 = list(set1), list(set2)
     if len(set1) != len(set2):
         return False, float("inf")
-    if any(d.kind != "exact" for d in set1 + set2):
+    if any(d.n_samples is not None for d in set1 + set2):
         # sampled comparisons fall back to total variation
         dist_fn = lambda a, b: a.tv_distance(b)
     else:
@@ -390,14 +392,16 @@ def check_abstraction(
     suite: Iterable[Setting],
     tol: float = 1e-9,
     *,
-    mode: str = "exact",
-    n: int = 100_000,
+    n: Optional[int] = None,
     seed: int = 0,
 ) -> AbstractionReport:
     """Verify the distribution-set consistency equation on every intervention
     in the suite: low-level solution distributions pushed through tau must
     equal, as a set, the high-level solution distributions under the mapped
-    intervention."""
+    intervention.  With ``n=None`` both sides are exact tables, matched by
+    sup-norm; with ``n=k`` both are frequencies of ``k`` samples drawn from
+    ``seed``, matched by total variation."""
+    check_sample_count(n)
     tau = lambda s: push_tau(a, t, s)
     entries = []
     for low_iv in suite:
@@ -407,8 +411,8 @@ def check_abstraction(
                 InterventionEntry(low_iv, high_iv, False, float("inf"), 0, 0, high_iv.reason)
             )
             continue
-        pushed = solution_distributions(low, low_iv, push=tau, mode=mode, n=n, seed=seed)
-        high_dists = solution_distributions(high, high_iv, mode=mode, n=n, seed=seed)
+        pushed = solution_distributions(low, low_iv, push=tau, n=n, seed=seed)
+        high_dists = solution_distributions(high, high_iv, n=n, seed=seed)
         matched, worst = dists_match(pushed, high_dists, tol)
         note = "" if matched else f"{len(pushed)} low vs {len(high_dists)} high distributions"
         entries.append(
@@ -434,25 +438,23 @@ class StrongReport:
 def check_strong(
     w: InterventionMapping,
     high_domains: Mapping[VarId, Domain],
-    mode: str = "exhaustive",
-    n: int = 1_000,
+    n: Optional[int] = None,
     seed: int = 0,
 ) -> StrongReport:
     """Surjectivity of each per-variable omega onto its high-level domain.
-    Exhaustive mode enumerates both sides (discretized for continuous
-    domains); sampled mode reports the fraction of high values hit by ``n``
-    sampled preimages."""
+    With ``n=None`` both sides are enumerated (discretized for continuous
+    domains); with ``n=k`` the image is that of ``k`` preimages sampled from
+    ``seed``, and coverage is the fraction of high values it hits."""
+    check_sample_count(n)
     gaps: dict = {}
     coverage: dict = {}
     for high_var, ov in sorted(w.per_var.items(), key=lambda kv: kv[0].name):
         targets = high_domains[high_var].enumerate()
-        if mode == "exhaustive":
+        if n is None:
             image = [ov.fn(s) for s in ov.defined.enumerate()]
-        elif mode == "sampled":
+        else:
             rng = np.random.default_rng(seed)
             image = [ov.fn(ov.defined.sample(rng)) for _ in range(n)]
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
         missing = tuple(
             tv for tv in targets if not any(values_close(tv, iv) for iv in image)
         )
@@ -491,6 +493,7 @@ def prop1_preconditions(
     mechanism node aligned with the target has an independent mechanism."""
     if target.layer is not Layer.MECHANISM:
         raise ValueError("target must be a high-level mechanism variable")
+    check_target(high.mech_model, target)
     target_obj = target.paired(Layer.OBJECT)
     parents = high.obj_model.parents.get(target_obj, ())
 

@@ -5,7 +5,9 @@ settings (partial assignments of tagged values), a deterministic possibly
 cyclic model over the mechanism layer, a parameterized acyclic model over the
 object layer, and the pairing of the two.  Solving the mechanism layer under a
 hard intervention yields parameter settings; each one instantiates an object
-model whose exact or sampled distribution can be computed.
+model whose distribution can be computed.  A distribution is one canonical
+table of atoms either way: ``n=None`` enumerates it exactly, ``n=k`` holds the
+frequencies of ``k`` forward samples drawn from ``seed``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "BernoulliAssign",
     "FiniteNoiseAssign",
     "KernelAssign",
+    "SamplerAssign",
     "ParameterizedSCM",
     "InducedSCM",
     "MechanizedSCM",
@@ -466,10 +469,25 @@ class DeterministicSCM:
         return self._order
 
 
-def _check_intervention_vars(m: DeterministicSCM, intervention: Setting) -> None:
+def _check_intervention(m: DeterministicSCM, intervention: Setting) -> None:
     unknown = intervention.vars - set(m.variables)
     if unknown:
         raise ValueError(f"intervention targets unknown variables: {unknown}")
+    for v, x in intervention.items():
+        if not m.domains[v].contains(x):
+            raise ValueError(f"intervention value {x!r} is outside the domain of {v!r}")
+
+
+def check_target(m: DeterministicSCM, target: VarId) -> None:
+    """Raise ValueError unless ``target`` is a variable of ``m``."""
+    if target not in m.domains:
+        raise ValueError(f"{target!r} is not a variable of the model")
+
+
+def check_sample_count(n: Optional[int]) -> None:
+    """Raise ValueError unless ``n`` is None (exact) or a positive count."""
+    if n is not None and n < 1:
+        raise ValueError(f"sampling needs n >= 1, got {n}")
 
 
 def solve_enumerate(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) -> frozenset:
@@ -477,7 +495,7 @@ def solve_enumerate(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) 
     matching the intervention exactly.  Non-intervened variables must have
     enumerable domains.  A registered analytic solution set is not consulted
     here; ``solution_set`` does that."""
-    _check_intervention_vars(m, intervention)
+    _check_intervention(m, intervention)
     free = [v for v in m.variables if v not in intervention.vars]
     for v in free:
         if not m.domains[v].is_enumerable:
@@ -508,7 +526,7 @@ def solve_enumerate(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) 
 def solve_acyclic(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) -> Setting:
     """Forward substitution along the declared acyclic dependency order.
     Returns the unique solution under the intervention."""
-    _check_intervention_vars(m, intervention)
+    _check_intervention(m, intervention)
     order = m.topological_order()
     if order is None:
         raise MechSCMError("model has no declared acyclic dependency structure")
@@ -564,7 +582,7 @@ def solve_fixed_point(
     """Damped synchronous (Jacobi) iteration.  Real-box variables move by
     ``damping`` toward their assignment; all other variables jump.  Stops when
     the undamped defect max-norm is at most ``tol``."""
-    _check_intervention_vars(m, intervention)
+    _check_intervention(m, intervention)
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     free = [v for v in m.variables if v not in intervention.vars]
@@ -844,23 +862,18 @@ def induce_scm(m: MechanizedSCM, mech_solution: Setting) -> InducedSCM:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Either an exact finite-support table over object settings or a list of
-    forward samples with its seed."""
+    """A finite table of ((Setting, probability), ...) atoms in canonical
+    order.  ``n_samples`` is None for an exact table; otherwise the atoms are
+    the frequencies of that many forward samples drawn from ``seed``."""
 
-    kind: str  # "exact" | "empirical"
-    atoms: tuple = ()  # exact: ((Setting, prob), ...) canonically sorted
-    samples: tuple = ()  # empirical
+    atoms: tuple = ()
+    n_samples: Optional[int] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind == "exact":
-            total = sum(p for _, p in self.atoms)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"exact table sums to {total!r}, not 1")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
+        total = sum(p for _, p in self.atoms)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"table sums to {total!r}, not 1")
 
     def prob(self, setting: Setting, tol: float = FLOAT_TOL) -> float:
         total = 0.0
@@ -870,109 +883,93 @@ class Distribution:
         return total
 
     def expectation(self, fn: Callable[[Setting], float]) -> float:
-        if self.kind == "exact":
-            return sum(p * fn(s) for s, p in self.atoms)
-        return sum(fn(s) for s in self.samples) / len(self.samples)
+        return sum(p * fn(s) for s, p in self.atoms)
 
     def map_atoms(self, fn: Callable[[Setting], Setting]) -> "Distribution":
-        """Pushforward through a setting-to-setting map: exact atoms landing
-        on the same setting merge; samples map one by one, keeping the seed."""
-        if self.kind != "exact":
-            return Distribution(
-                kind="empirical", samples=tuple(fn(s) for s in self.samples), seed=self.seed
-            )
+        """Pushforward through a setting-to-setting map: atoms landing on the
+        same setting merge; the sample count and seed are kept."""
         acc: dict = {}
         for s, p in self.atoms:
             mapped = fn(s)
             acc[mapped] = acc.get(mapped, 0.0) + p
-        return exact_distribution(acc)
+        return exact_distribution(acc, self.n_samples, self.seed)
 
     def marginal(self, targets: Iterable[VarId]) -> "Distribution":
         targets = tuple(targets)
         return self.map_atoms(lambda s: s.project(targets))
 
-    def as_exact_table(self) -> dict:
-        """Empirical frequencies as a table; identity on exact mode."""
-        if self.kind == "exact":
-            return {s: p for s, p in self.atoms}
-        n = len(self.samples)
-        acc: dict = {}
-        for s in self.samples:
-            acc[s] = acc.get(s, 0.0) + 1.0 / n
-        return acc
-
     def tv_distance(self, other: "Distribution") -> float:
-        a, b = self.as_exact_table(), other.as_exact_table()
+        a, b = dict(self.atoms), dict(other.atoms)
         keys = set(a) | set(b)
         return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
-def exact_distribution(table: Mapping[Setting, float]) -> Distribution:
+def exact_distribution(
+    table: Mapping[Setting, float], n_samples: Optional[int] = None, seed: Optional[int] = None
+) -> Distribution:
+    """The canonical Distribution of a {Setting: probability} table."""
     atoms = tuple(
         sorted(
             ((s, p) for s, p in table.items() if p > 0.0),
             key=lambda sp: setting_sort_key(sp[0]),
         )
     )
-    return Distribution(kind="exact", atoms=atoms)
+    return Distribution(atoms, n_samples, seed)
 
 
-def distribution(
-    scm: InducedSCM,
-    mode: str = "exact",
-    n: int = 100_000,
-    seed: int = 0,
-) -> Distribution:
+def _forward_paths(
+    order: Sequence[VarId], parents: Mapping, kernel: Callable, fixed: Mapping
+) -> dict:
+    """Exact forward enumeration along ``order``: {value tuple in order:
+    probability}.  ``kernel(v, parent_values)`` is v's exact conditional, or
+    None when v has continuous noise; parents outside ``order`` take their
+    values from ``fixed``."""
+    pos = {w: i for i, w in enumerate(order)}
+    paths: dict = {(): 1.0}
+    for v in order:
+        pvars = parents.get(v, ())
+        new_paths: dict = {}
+        for prefix, prob in paths.items():
+            parent_values = {w: prefix[pos[w]] if w in pos else fixed[w] for w in pvars}
+            k = kernel(v, parent_values)
+            if k is None:
+                raise NonFiniteDomain(f"{v!r} has continuous noise; exact mode unavailable")
+            for value, p in k.items():
+                if p <= 0.0:
+                    continue
+                key = prefix + (value,)
+                new_paths[key] = new_paths.get(key, 0.0) + prob * p
+        paths = new_paths
+    return paths
+
+
+def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Distribution:
     """Joint distribution over the object variables.
 
-    Exact mode enumerates the finite support forward in topological order
-    (every variable must expose an exact local conditional, i.e. finite or
-    analytically integrable noise).  Sample mode forward-samples ``n`` times
-    from the given seed.
+    With ``n=None`` the finite support is enumerated exactly, forward in
+    topological order; every variable must expose an exact local conditional
+    (finite or analytically integrable noise), else NonFiniteDomain.  With
+    ``n=k`` the table holds the frequencies (count / k) of ``k`` forward
+    samples drawn from ``seed``.
     """
+    check_sample_count(n)
     model = scm.model
     order = model.topological_order
-    if mode == "exact":
-        # paths: value tuple in topo order -> probability
-        pos = {w: i for i, w in enumerate(order)}
-        paths: dict = {(): 1.0}
-        for v in order:
-            pvars = model.parents.get(v, ())
-            pidx = tuple(pos[w] for w in pvars)
-            new_paths: dict = {}
-            for prefix, prob in paths.items():
-                parent_values = {w: prefix[i] for w, i in zip(pvars, pidx)}
-                k = scm.local_kernel(v, parent_values)
-                if k is None:
-                    raise NonFiniteDomain(
-                        f"{v!r} has continuous noise; exact mode unavailable"
-                    )
-                for value, p in k.items():
-                    if p <= 0.0:
-                        continue
-                    key = prefix + (value,)
-                    new_paths[key] = new_paths.get(key, 0.0) + prob * p
-            paths = new_paths
-        table = {}
-        for values, prob in paths.items():
-            s = Setting(dict(zip(order, values)))
-            table[s] = table.get(s, 0.0) + prob
-        return exact_distribution(table)
-
-    if mode == "sample":
-        if n < 1:
-            raise ValueError(f"sample mode needs n >= 1, got {n}")
+    if n is None:
+        paths = _forward_paths(order, model.parents, scm.local_kernel, {})
+    else:
         rng = np.random.default_rng(seed)
-        samples = []
+        counts: dict = {}
         for _ in range(n):
             values: dict = {}
             for v in order:
                 parent_values = {w: values[w] for w in model.parents.get(v, ())}
                 values[v] = model.assigns[v].sample(scm.theta[v], parent_values, rng)
-            samples.append(Setting(values))
-        return Distribution(kind="empirical", samples=tuple(samples), seed=seed)
-
-    raise ValueError(f"unknown mode {mode!r}")
+            key = tuple(values[v] for v in order)
+            counts[key] = counts.get(key, 0) + 1
+        paths = {key: c / n for key, c in counts.items()}
+    table = {Setting(dict(zip(order, values))): p for values, p in paths.items()}
+    return exact_distribution(table, n, None if n is None else seed)
 
 
 def solution_distributions(
@@ -980,26 +977,27 @@ def solution_distributions(
     intervention: Setting = EMPTY_SETTING,
     *,
     push: Optional[Callable[[Setting], Setting]] = None,
-    mode: str = "exact",
-    n: int = 100_000,
+    n: Optional[int] = None,
     seed: int = 0,
 ) -> tuple:
     """One distribution per mechanism solution, in the canonical order of the
-    solutions, with exactly-equal duplicates collapsed.
+    solutions, with equal distributions collapsed.  ``n`` and ``seed`` are
+    passed to ``distribution``: exact tables by default, else frequencies of
+    ``n`` samples, every solution's drawn from the same seed.
 
     ``push`` maps each object setting to another setting (an abstraction's
     value mapping, say); when given, every distribution is pushed forward
     through it before the duplicate check, so solutions that differ only in
     what ``push`` forgets yield one distribution."""
+    check_sample_count(n)
     sols = solution_set(m.mech_model, intervention)
     dists = []
     seen = set()
     for s in sorted(sols, key=setting_sort_key):
-        d = distribution(induce_scm(m, s), mode=mode, n=n, seed=seed)
+        d = distribution(induce_scm(m, s), n, seed)
         if push is not None:
             d = d.map_atoms(push)
-        key = d.atoms if d.kind == "exact" else d.samples
-        if key not in seen:
-            seen.add(key)
+        if d not in seen:
+            seen.add(d)
             dists.append(d)
     return tuple(dists)

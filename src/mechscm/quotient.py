@@ -23,6 +23,7 @@ from mechscm.core import (
     ParameterizedSCM,
     Setting,
     VarId,
+    _forward_paths,
     mech,
     obj,
 )
@@ -72,76 +73,63 @@ def quotient_abstraction(
                     ps.add(group_of[p])
         high_parents[high_objs[gi]] = tuple(high_objs[pi] for pi in sorted(ps))
 
-    def group_domain(g) -> FiniteDomain:
-        member_values = [low_obj.domains[v].enumerate() for v in g]
-        return FiniteDomain(tuple(itertools.product(*member_values)))
+    def group_domain(domains: Mapping, g) -> FiniteDomain:
+        return FiniteDomain(tuple(itertools.product(*(domains[v].enumerate() for v in g))))
 
-    def group_param_domain(g) -> FiniteDomain:
-        member_values = [low_obj.param_domains[v].enumerate() for v in g]
-        return FiniteDomain(tuple(itertools.product(*member_values)))
+    param_domains = [group_domain(low_obj.param_domains, g) for g in groups]
 
     def make_group_kernel(gi: int):
         g = groups[gi]
         chain = sorted(g, key=lambda v: topo_pos[v])
         slot = {v: i for i, v in enumerate(g)}
-        parent_groups = high_parents[high_objs[gi]]
+        in_chain = [chain.index(v) for v in g]
         member_slot_in_parent = {}
-        for hp in parent_groups:
-            pg = groups[high_objs.index(hp)]
-            for i, v in enumerate(pg):
+        for hp in high_parents[high_objs[gi]]:
+            for i, v in enumerate(groups[high_objs.index(hp)]):
                 member_slot_in_parent[v] = (hp, i)
 
         def kernel(theta, pa: Mapping[VarId, tuple]) -> dict:
-            branches = {(): 1.0}  # partial member values along the chain
-            for v in chain:
-                th_v = theta[slot[v]]
-                new: dict = {}
-                for prefix, prob in branches.items():
-                    done = dict(zip(chain[: len(prefix)], prefix))
-                    pvals = {}
-                    for p in low_obj.parents.get(v, ()):
-                        if p in done:
-                            pvals[p] = done[p]
-                        else:
-                            hp, i = member_slot_in_parent[p]
-                            pvals[p] = pa[hp][i]
-                    k = low_obj.assigns[v].kernel(th_v, pvals)
-                    for value, p_v in k.items():
-                        key = prefix + (value,)
-                        new[key] = new.get(key, 0.0) + prob * p_v
-                branches = new
-            out: dict = {}
-            for chain_values, prob in branches.items():
-                by_var = dict(zip(chain, chain_values))
-                key = tuple(by_var[v] for v in g)
-                out[key] = out.get(key, 0.0) + prob
-            return out
+            outside = {p: pa[hp][i] for p, (hp, i) in member_slot_in_parent.items()}
+            paths = _forward_paths(
+                chain,
+                low_obj.parents,
+                lambda v, pvals: low_obj.assigns[v].kernel(theta[slot[v]], pvals),
+                outside,
+            )
+            return {tuple(values[i] for i in in_chain): p for values, p in paths.items()}
 
         return kernel
 
     high_obj_model = ParameterizedSCM(
         variables=tuple(high_objs),
         parents=high_parents,
-        domains={high_objs[gi]: group_domain(g) for gi, g in enumerate(groups)},
-        param_domains={high_objs[gi]: group_param_domain(g) for gi, g in enumerate(groups)},
+        domains={high_objs[gi]: group_domain(low_obj.domains, g) for gi, g in enumerate(groups)},
+        param_domains=dict(zip(high_objs, param_domains)),
         assigns={high_objs[gi]: KernelAssign(make_group_kernel(gi)) for gi in range(len(groups))},
     )
 
     mech_groups = [tuple(v.paired(Layer.MECHANISM) for v in g) for g in groups]
 
-    def needed_groups(gi: int) -> tuple:
+    def parent_groups(gi: int) -> tuple:
+        """The other groups whose mechanisms group ``gi``'s mechanisms read:
+        all of them when the low model declares no mechanism parents."""
         if low_mech.parents is None:
             return tuple(gj for gj in range(len(groups)) if gj != gi)
         ps = set()
         for mv in mech_groups[gi]:
             for p in low_mech.parents.get(mv, ()):
-                ps.add(group_of[p.paired(Layer.OBJECT)])
-        ps.discard(gi)
+                pg = group_of[p.paired(Layer.OBJECT)]
+                if pg == gi:
+                    raise ValueError(
+                        f"{mv!r} reads sibling {p!r} from its own group; "
+                        "quotient mechanisms must only depend on other groups"
+                    )
+                ps.add(pg)
         return tuple(sorted(ps))
 
     def make_high_mech_assign(gi: int):
         mg = mech_groups[gi]
-        needed = needed_groups(gi)
+        needed = parent_groups(gi)
 
         def assign(ctx: Setting):
             low_ctx = {}
@@ -159,30 +147,16 @@ def quotient_abstraction(
 
         return assign
 
-    def make_high_mech_parents(gi: int):
-        ps = set()
-        if low_mech.parents is None:
-            return None
-        for mv in mech_groups[gi]:
-            for p in low_mech.parents.get(mv, ()):
-                pg = group_of[p.paired(Layer.OBJECT)]
-                if pg == gi:
-                    raise ValueError(
-                        f"{mv!r} reads sibling {p!r} from its own group; "
-                        "quotient mechanisms must only depend on other groups"
-                    )
-                ps.add(pg)
-        return frozenset(high_mechs[pi] for pi in sorted(ps))
-
     high_mech_parents = None
     if low_mech.parents is not None:
         high_mech_parents = {
-            high_mechs[gi]: make_high_mech_parents(gi) for gi in range(len(groups))
+            high_mechs[gi]: frozenset(high_mechs[pj] for pj in parent_groups(gi))
+            for gi in range(len(groups))
         }
 
     high_mech_model = DeterministicSCM(
         variables=tuple(high_mechs),
-        domains={high_mechs[gi]: group_param_domain(g) for gi, g in enumerate(groups)},
+        domains=dict(zip(high_mechs, param_domains)),
         assignments={high_mechs[gi]: make_high_mech_assign(gi) for gi in range(len(groups))},
         parents=high_mech_parents,
     )

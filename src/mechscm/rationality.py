@@ -23,6 +23,7 @@ from mechscm.core import (
     Setting,
     VarId,
     canon_key,
+    check_target,
     distribution,
     induce_scm,
     values_close,
@@ -99,57 +100,25 @@ class BeliefModel:
 @dataclass(frozen=True)
 class RationalityRelation:
     """A total relation from contexts (settings of every other mechanism
-    variable) to acceptable responses."""
+    variable) to acceptable responses: ``respond(m, context, u)`` returns the
+    target's response set for a context."""
 
-    kind: str  # "best_response" | "first_mover" | "custom"
     target: VarId
-    belief: Optional[BeliefModel] = None
-    custom: Optional[Callable] = None
+    respond: Callable[[MechanizedSCM, Setting, UtilityFn], tuple]
 
     @classmethod
     def best_response(cls, target: VarId) -> "RationalityRelation":
-        return cls(kind="best_response", target=target)
+        return cls(target, lambda m, ctx, u: best_response_set(m, target, ctx, u))
 
     @classmethod
     def first_mover(cls, target: VarId, belief: BeliefModel) -> "RationalityRelation":
-        return cls(kind="first_mover", target=target, belief=belief)
-
-    @classmethod
-    def from_predicate(cls, target: VarId, fn: Callable) -> "RationalityRelation":
-        """``fn(m, context, u)`` returns the response set for a context."""
-        return cls(kind="custom", target=target, custom=fn)
-
-    def response_set(
-        self,
-        m: MechanizedSCM,
-        context: Setting,
-        u: UtilityFn,
-        tie_tol: float = TIE_TOL,
-    ) -> tuple:
-        if self.kind == "best_response":
-            return best_response_set(m, self.target, context, u, tie_tol=tie_tol)
-        if self.kind == "first_mover":
-            return first_mover_response(
-                m, self.target, self.belief, u, context, tie_tol=tie_tol
-            )
-        if self.kind == "custom":
-            return tuple(self.custom(m, context, u))
-        raise ValueError(f"unknown rationality kind {self.kind!r}")
+        return cls(target, lambda m, ctx, u: first_mover_response(m, target, belief, u, ctx))
 
 
-def expected_utility(
-    m: MechanizedSCM,
-    full_mech_setting: Setting,
-    u: UtilityFn,
-    mode: str = "exact",
-    n: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Expectation of ``u`` under the object distribution induced by a full
-    mechanism setting (exact by default, seeded Monte Carlo otherwise)."""
-    ind = induce_scm(m, full_mech_setting)
-    d = distribution(ind, mode=mode, n=n, seed=seed)
-    return d.expectation(u)
+def expected_utility(m: MechanizedSCM, full_mech_setting: Setting, u: UtilityFn) -> float:
+    """Exact expectation of ``u`` under the object distribution induced by a
+    full mechanism setting."""
+    return distribution(induce_scm(m, full_mech_setting)).expectation(u)
 
 
 def best_response_set(
@@ -161,6 +130,7 @@ def best_response_set(
 ) -> tuple:
     """All values of the target within ``tie_tol`` of the maximal expected
     utility over its (finite or discretized) domain."""
+    check_target(m.mech_model, target)
     candidates = m.mech_model.domains[target].enumerate()
     if not candidates:
         raise EmptyDomain(f"domain of {target!r} is empty")
@@ -188,17 +158,17 @@ def is_agent(
     relation: RationalityRelation,
     u: UtilityFn,
     contexts: Iterable[Setting],
-    tie_tol: float = TIE_TOL,
 ) -> AgentVerdict:
     """Does the target's assignment pick an allowed response in every supplied
     context?  Reports the first violating context otherwise."""
+    check_target(m.mech_model, target)
     if relation.target != target:
         raise ValueError("relation is bound to a different target")
     checked = 0
     for ctx in contexts:
         checked += 1
         chosen = m.mech_model.assignments[target](ctx)
-        allowed = relation.response_set(m, ctx, u, tie_tol=tie_tol)
+        allowed = relation.respond(m, ctx, u)
         if not any(values_close(chosen, v) for v in allowed):
             return AgentVerdict(False, ctx, checked)
     return AgentVerdict(True, None, checked)
@@ -208,7 +178,7 @@ def _conditional_table(m: MechanizedSCM, full_setting: Setting, target_obj: VarI
     """P(S | PA_S) from the exact joint, restricted to parent configurations
     of positive probability.  Keys are canonical parent-value tuples."""
     pa_vars = m.obj_model.parents.get(target_obj, ())
-    d = distribution(induce_scm(m, full_setting), mode="exact")
+    d = distribution(induce_scm(m, full_setting))
     joint: dict = {}
     for s, p in d.atoms:
         key = tuple(s[w] for w in pa_vars)
@@ -250,7 +220,6 @@ def is_nontrivial_agent(
     relation: RationalityRelation,
     u: UtilityFn,
     contexts: Iterable[Setting],
-    tie_tol: float = TIE_TOL,
 ) -> NontrivialVerdict:
     """Agent whose induced conditional P(S | PA_S) actually varies across the
     supplied contexts.  Conditionals are compared only on parent
@@ -259,7 +228,7 @@ def is_nontrivial_agent(
     contexts = list(contexts)
     if not contexts:
         raise ValueError("non-triviality needs at least one context")
-    verdict = is_agent(m, target, relation, u, contexts, tie_tol=tie_tol)
+    verdict = is_agent(m, target, relation, u, contexts)
     if not verdict:
         return NontrivialVerdict(False, None, verdict)
     target_obj = m.obj_of(target)
@@ -287,11 +256,11 @@ def first_mover_response(
     belief: BeliefModel,
     u: UtilityFn,
     context: Setting,
-    tie_tol: float = TIE_TOL,
 ) -> tuple:
     """Projections onto the target of the expected-utility argmax over joint
     mechanism settings in which non-believed variables keep their context
     values and every believed agent best-responds to its believed utility."""
+    check_target(m.mech_model, target)
     if belief is None:
         raise ValueError("first-mover rationality requires a belief model")
     if target in belief.believed_agents:
@@ -320,7 +289,7 @@ def first_mover_response(
         ctx = joint.drop([agent])
         key = (agent, ctx)
         if key not in br_cache:
-            br_cache[key] = best_response_set(m, agent, ctx, bu, tie_tol=tie_tol)
+            br_cache[key] = best_response_set(m, agent, ctx, bu)
         return any(values_close(joint[agent], v) for v in br_cache[key])
 
     feasible = []
@@ -336,7 +305,7 @@ def first_mover_response(
 
     scored = [(expected_utility(m, joint, u), joint) for joint in feasible]
     best = max(score for score, _ in scored)
-    winners = [joint[target] for score, joint in scored if score >= best - tie_tol]
+    winners = [joint[target] for score, joint in scored if score >= best - TIE_TOL]
     out = []
     for v in winners:
         if not any(values_close(v, w) for w in out):
@@ -347,26 +316,22 @@ def first_mover_response(
 def has_independent_mechanism(m: DeterministicSCM, target: VarId) -> bool:
     """True when the target's assignment returns one fixed value in every
     context (enumerable context space required)."""
-    others = m.others(target)
-    for v in others:
-        if not m.domains[v].is_enumerable:
-            raise NonFiniteDomain(f"domain of {v!r} is not finite or discretized")
-    reference = None
-    for combo in itertools.product(*(m.domains[v].enumerate() for v in others)):
-        value = m.assignments[target](Setting(dict(zip(others, combo))))
-        if reference is None:
-            reference = value
-        elif not values_close(value, reference):
-            return False
-    return True
+    values = (m.assignments[target](ctx) for ctx in _contexts(m, target))
+    reference = next(values)  # the context space is a non-empty product
+    return all(values_close(value, reference) for value in values)
 
 
 def enumerate_contexts(m: MechanizedSCM, target: VarId):
     """All settings of the mechanism variables other than the target, over
     their enumerable domains, in deterministic order."""
-    others = m.mech_model.others(target)
+    return _contexts(m.mech_model, target)
+
+
+def _contexts(m: DeterministicSCM, target: VarId):
+    check_target(m, target)
+    others = m.others(target)
     for v in others:
-        if not m.mech_model.domains[v].is_enumerable:
+        if not m.domains[v].is_enumerable:
             raise NonFiniteDomain(f"domain of {v!r} is not finite or discretized")
-    for combo in itertools.product(*(m.mech_model.domains[v].enumerate() for v in others)):
-        yield Setting(dict(zip(others, combo)))
+    grids = [m.domains[v].enumerate() for v in others]
+    return (Setting(dict(zip(others, combo))) for combo in itertools.product(*grids))

@@ -245,7 +245,7 @@ def test_actor_critic_action_only_interventions(ac):
     # aligned variables, so the pushed samples equal the high-level ones.
     sampled = check_abstraction(
         ac.low, ac.high, ac.alignment, ac.tau, ac.omega, suite + (EMPTY_SETTING,),
-        mode="sample", n=20_000, seed=3,
+        n=20_000, seed=3,
     )
     assert sampled.ok
     assert max(e.max_mismatch for e in sampled.entries) == 0.0
@@ -273,16 +273,16 @@ def test_shared_utility_br_fails_fm_passes():
 
     br = shared_utility_pair("br")
     fm = shared_utility_pair("fm")
-    for mode in ("exact", "sample"):
+    for n in (None, 1_000):
         report_br = check_abstraction(
-            br.low, br.high, br.alignment, br.tau, br.omega, [iv], mode=mode, n=1_000
+            br.low, br.high, br.alignment, br.tau, br.omega, [iv], n=n
         )
         assert not report_br.ok
         entry = report_br.entries[0]
         assert (entry.n_low, entry.n_high) == (2, 1)
 
         report_fm = check_abstraction(
-            fm.low, fm.high, fm.alignment, fm.tau, fm.omega, [iv], mode=mode, n=1_000
+            fm.low, fm.high, fm.alignment, fm.tau, fm.omega, [iv], n=n
         )
         assert report_fm.ok
 
@@ -344,8 +344,16 @@ def test_check_strong_constant_onto_singleton():
 
 def test_check_strong_sampled_mode(ac):
     high_domains = {v: ac.high.mech_model.domains[v] for v in ac.high.mech_vars}
-    report = check_strong(ac.omega, high_domains, mode="sampled", n=4000, seed=0)
+    report = check_strong(ac.omega, high_domains, n=4000, seed=0)
     assert report.coverage[mech("A*")] == 1.0
+
+
+def test_sampling_checks_reject_empty_counts(ac):
+    high_domains = {v: ac.high.mech_model.domains[v] for v in ac.high.mech_vars}
+    with pytest.raises(ValueError, match="n >= 1"):
+        check_strong(ac.omega, high_domains, n=0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        check_abstraction(ac.low, ac.high, ac.alignment, ac.tau, ac.omega, [], n=0)
 
 
 # ---------------------------------------------------------------------------

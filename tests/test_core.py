@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fuzzgen
 from mechscm.abstraction import full_subset_suite, identity_maps
+from mechscm.examples import actor_critic_pair
 from mechscm.core import (
     EMPTY_SETTING,
     BernoulliAssign,
@@ -22,6 +23,7 @@ from mechscm.core import (
     NonFiniteDomain,
     ParameterizedSCM,
     RealBox,
+    SamplerAssign,
     Setting,
     Table,
     distribution,
@@ -227,7 +229,7 @@ def test_deterministic_chain_distribution():
     m = two_var_chain()
     A, B = m.object_vars
     ind = induce_scm(m, Setting({mech("A"): 1.0, mech("B"): 1}))
-    d = distribution(ind, mode="exact")
+    d = distribution(ind)
     assert d.prob(Setting({A: 1, B: 1})) == pytest.approx(1.0, abs=1e-12)
     assert len(d.atoms) == 1
 
@@ -243,8 +245,8 @@ def test_constant_mechanisms_induce_same_scm_any_context():
     s1 = solution_set(m.mech_model)
     assert len(s1) == 1
     (sol,) = s1
-    d1 = distribution(induce_scm(m, sol), mode="exact")
-    d2 = distribution(induce_scm(m, Setting({mech("A"): 1.0, mech("B"): 1})), mode="exact")
+    d1 = distribution(induce_scm(m, sol))
+    d2 = distribution(induce_scm(m, Setting({mech("A"): 1.0, mech("B"): 1})))
     assert d1.atoms == d2.atoms
 
 
@@ -263,7 +265,7 @@ def test_exact_distribution_markovian_factorization():
         },
     )
     ind = objm.at({A: 0.3, B: 0.8})
-    d = distribution(ind, mode="exact")
+    d = distribution(ind)
     pa = {a: d.marginal([A]).prob(Setting({A: a})) for a in (0, 1)}
     for a, b in itertools.product((0, 1), repeat=2):
         joint = d.prob(Setting({A: a, B: b}))
@@ -290,19 +292,17 @@ def test_sampling_consistent_with_exact():
         },
     )
     ind = objm.at({A: 2.0 / 3.0, B: 0.25})
-    exact = distribution(ind, mode="exact")
-    emp = distribution(ind, mode="sample", n=100_000, seed=7)
+    exact = distribution(ind)
+    emp = distribution(ind, n=100_000, seed=7)
     assert emp.seed == 7 and emp.n_samples == 100_000
     assert exact.tv_distance(emp) < 0.02
     marg = emp.marginal([A])
-    assert marg.kind == "empirical" and marg.seed == 7 and marg.n_samples == 100_000
-    assert all(s.vars == {A} for s in marg.samples)
+    assert marg.seed == 7 and marg.n_samples == 100_000
+    assert all(s.vars == {A} for s, _ in marg.atoms)
     assert exact.marginal([A]).tv_distance(marg) < 0.02
 
 
 def test_exact_mode_rejects_continuous_noise():
-    from mechscm.core import SamplerAssign
-
     A = obj("A")
     objm = ParameterizedSCM(
         variables=(A,),
@@ -312,17 +312,35 @@ def test_exact_mode_rejects_continuous_noise():
         assigns={A: SamplerAssign(lambda th, pa, rng: rng.random())},
     )
     with pytest.raises(NonFiniteDomain):
-        distribution(objm.at({A: 1}), mode="exact")
-    emp = distribution(objm.at({A: 1}), mode="sample", n=10, seed=0)
+        distribution(objm.at({A: 1}))
+    emp = distribution(objm.at({A: 1}), n=10, seed=0)
     assert emp.n_samples == 10
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_sample_mode_rejects_empty_count(n):
     # an empty sample would divide by zero in expectation
-    ind = two_var_chain().obj_model.at({obj("A"): 0.5, obj("B"): 1})
+    m = two_var_chain()
+    ind = m.obj_model.at({obj("A"): 0.5, obj("B"): 1})
     with pytest.raises(ValueError, match="n >= 1"):
-        distribution(ind, mode="sample", n=n)
+        distribution(ind, n=n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        solution_distributions(m, n=n)
+
+
+def test_sampled_prob_reads_the_frequencies():
+    m = two_var_chain()
+    A, B = m.object_vars
+    d = distribution(m.obj_model.at({A: 0.5, B: 1}), n=1000, seed=1)
+    assert d.n_samples == 1000 and d.seed == 1
+    assert d.prob(Setting({A: 1, B: 1})) == pytest.approx(0.5, abs=0.05)
+    assert d.prob(Setting({A: 1, B: 1})) + d.prob(Setting({A: 0, B: 0})) == pytest.approx(1.0)
+
+
+def test_out_of_domain_intervention_value_rejected():
+    high = actor_critic_pair().high
+    with pytest.raises(ValueError, match="outside the domain"):
+        solution_distributions(high, Setting({mech("A*"): 7}))
 
 
 def test_solution_distributions_fully_intervened_is_single():
@@ -347,7 +365,7 @@ def test_distribution_sum_guard():
     with pytest.raises(ValueError):
         from mechscm.core import Distribution
 
-        Distribution(kind="exact", atoms=((Setting({A: 0}), 0.5),))
+        Distribution(atoms=((Setting({A: 0}), 0.5),))
 
 
 def test_kernel_assign_sampling_matches_kernel():
@@ -360,8 +378,8 @@ def test_kernel_assign_sampling_matches_kernel():
         assigns={A: KernelAssign(lambda th, pa: {"a": 0.2, "b": 0.5, "c": 0.3})},
     )
     ind = objm.at({A: 1})
-    exact = distribution(ind, mode="exact")
-    emp = distribution(ind, mode="sample", n=50_000, seed=3)
+    exact = distribution(ind)
+    emp = distribution(ind, n=50_000, seed=3)
     assert exact.tv_distance(emp) < 0.02
 
 

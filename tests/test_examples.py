@@ -60,7 +60,7 @@ def test_bos_expected_payoffs_at_equilibria(bos):
 def test_bos_mixed_equilibrium_distribution(bos):
     # oracle: product of the two marginals, P(O,O) = (2/3)(1/3) = 2/9
     sol = Setting({TD1: 2 / 3, TD2: 1 / 3, TU1: BOS_PAYOFF_1, TU2: BOS_PAYOFF_2})
-    d = distribution(induce_scm(bos, sol), mode="exact")
+    d = distribution(induce_scm(bos, sol))
     assert d.prob(Setting({obj("D1"): "O", obj("D2"): "O"}).union(
         Setting({obj("U1"): 2, obj("U2"): 1})
     )) == pytest.approx(2.0 / 9.0, abs=1e-12)
@@ -144,7 +144,7 @@ def test_actor_critic_reward_distribution():
     pair = actor_critic_pair()
     iv = Setting({mech("S"): (0.1, 0.9), mech("R"): (0.2, 0.8)})
     (sol,) = solution_set(pair.low.mech_model, iv)
-    d = distribution(induce_scm(pair.low, sol), mode="exact")
+    d = distribution(induce_scm(pair.low, sol))
     r_marg = d.marginal([obj("R")])
     assert r_marg.prob(Setting({obj("R"): 1})) == pytest.approx(0.74, abs=1e-12)
 

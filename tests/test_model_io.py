@@ -47,8 +47,8 @@ def test_battle_of_sexes_round_trip_grid_behavior():
     from mechscm.core import distribution, induce_scm, setting_sort_key
 
     for sol in sorted(want, key=setting_sort_key):
-        d_got = distribution(induce_scm(reloaded, sol), mode="exact")
-        d_want = distribution(induce_scm(m, sol), mode="exact")
+        d_got = distribution(induce_scm(reloaded, sol))
+        d_want = distribution(induce_scm(m, sol))
         assert d_got.atoms == d_want.atoms
 
 

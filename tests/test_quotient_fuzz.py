@@ -1,5 +1,6 @@
 """Quotient abstractions and the non-emergence fuzz property."""
 
+import dataclasses
 import time
 
 import pytest
@@ -10,9 +11,12 @@ from mechscm.core import (
     DeterministicSCM,
     FiniteDomain,
     MechanizedSCM,
+    NonFiniteDomain,
     ParameterizedSCM,
+    SamplerAssign,
     mech,
     obj,
+    solution_distributions,
 )
 from mechscm.abstraction import check_abstraction, check_strong, full_subset_suite, prop1_preconditions
 from mechscm.quotient import quotient_abstraction
@@ -76,6 +80,19 @@ def test_quotient_is_strong_abstraction_small_case():
     assert report.ok
     high_domains = {v: high.mech_model.domains[v] for v in high.mech_vars}
     assert check_strong(w, high_domains).ok
+
+
+def test_quotient_of_continuous_noise_has_no_exact_distribution():
+    low = two_constant_nodes()
+    X, Z = low.object_vars
+    sampled_z = SamplerAssign(lambda th, pa, rng: int(rng.integers(2)))
+    low = MechanizedSCM(
+        low.mech_model,
+        dataclasses.replace(low.obj_model, assigns={**low.obj_model.assigns, Z: sampled_z}),
+    )
+    high, _, _, _ = quotient_abstraction(low, [(X, Z)])
+    with pytest.raises(NonFiniteDomain):
+        solution_distributions(high)
 
 
 def test_quotient_rejects_sibling_reading_mechanisms():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechscm.core import Setting, Table, mech, obj
+from mechscm.abstraction import prop1_preconditions
+from mechscm.core import Setting, Table, distribution, induce_scm, mech, obj
 from mechscm.examples import (
     BOS_PAYOFF_1,
     BOS_PAYOFF_2,
@@ -88,7 +89,7 @@ def test_expected_utility_monte_carlo_close_to_exact(bos):
     u1 = UtilityFn.of_var(obj("U1"))
     full = bos_full(2.0 / 3.0, 1.0 / 3.0)
     exact = expected_utility(bos, full, u1)
-    mc = expected_utility(bos, full, u1, mode="sample", n=100_000, seed=11)
+    mc = distribution(induce_scm(bos, full), n=100_000, seed=11).expectation(u1)
     assert abs(mc - exact) < 0.02
 
 
@@ -305,7 +306,7 @@ def test_first_mover_empty_response_set_reported():
 def test_custom_relation_can_reject_everything():
     pair = shared_utility_pair("br")
     shared = UtilityFn.of_var(obj("U"))
-    rel = RationalityRelation.from_predicate(TD1, lambda m, ctx, u: ())
+    rel = RationalityRelation(TD1, lambda m, ctx, u: ())
     verdict = is_agent(
         pair.low,
         TD1,
@@ -314,6 +315,53 @@ def test_custom_relation_can_reject_everything():
         [Setting({TD2: 0, mech("U"): shared_utility_tables()["coordinate_high"]})],
     )
     assert not verdict
+
+
+@pytest.mark.parametrize("pair_name", ["br", "fm"])
+@pytest.mark.parametrize("relation_name", ["br", "fm"])
+def test_each_shared_utility_model_is_an_agent_under_its_own_relation(pair_name, relation_name):
+    pair = shared_utility_pair(pair_name)
+    shared = UtilityFn.of_var(obj("U"))
+    relation = {
+        "br": RationalityRelation.best_response(TD1),
+        "fm": RationalityRelation.first_mover(TD1, BeliefModel((TD2,), (shared,))),
+    }[relation_name]
+    contexts = list(enumerate_contexts(pair.low, TD1))
+    verdict = is_agent(pair.low, TD1, relation, shared, contexts)
+    if pair_name == relation_name:
+        assert verdict and verdict.checked == 6
+    else:
+        assert not verdict
+        assert verdict.counterexample == Setting(
+            {TD2: 0, mech("U"): shared_utility_tables()["coordinate_high"]}
+        )
+
+
+def _unknown_target_calls():
+    pair = shared_utility_pair("br")
+    shared = UtilityFn.of_var(obj("U"))
+    Z = mech("Z")
+    ctx = Setting({TD1: 0, TD2: 0, mech("U"): shared_utility_tables()["coordinate_high"]})
+    relation = RationalityRelation.best_response(Z)
+    return {
+        "best_response_set": lambda: best_response_set(pair.low, Z, ctx, shared),
+        "is_agent": lambda: is_agent(pair.low, Z, relation, shared, [ctx]),
+        "is_nontrivial_agent": lambda: is_nontrivial_agent(pair.low, Z, relation, shared, [ctx]),
+        "first_mover_response": lambda: first_mover_response(
+            pair.low, Z, BeliefModel((TD2,), (shared,)), shared, ctx
+        ),
+        "has_independent_mechanism": lambda: has_independent_mechanism(pair.low.mech_model, Z),
+        "enumerate_contexts": lambda: enumerate_contexts(pair.low, Z),
+        "prop1_preconditions": lambda: prop1_preconditions(
+            pair.low, pair.high, pair.alignment, pair.tau, pair.omega, Z
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_unknown_target_calls()))
+def test_unknown_target_is_rejected(name):
+    with pytest.raises(ValueError, match="not a variable of the model"):
+        _unknown_target_calls()[name]()
 
 
 # ---------------------------------------------------------------------------

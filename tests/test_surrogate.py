@@ -199,6 +199,7 @@ def test_gradient_single_country_hand_derivation():
     assert gb[0][0] == pytest.approx(resid, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_non_finite_detected():
     net = OmegaNetwork.init(3, 2, hidden=(3,), seed=0)
     net.weights[0][0, 0] = np.inf
