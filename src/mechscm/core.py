@@ -866,12 +866,12 @@ class Distribution:
     order.  ``n_samples`` is None for an exact table; otherwise the atoms are
     the frequencies of that many forward samples drawn from ``seed``."""
 
-    atoms: tuple = ()
+    atoms: tuple
     n_samples: Optional[int] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
-        total = sum(p for _, p in self.atoms)
+        total = math.fsum(p for _, p in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"table sums to {total!r}, not 1")
 

@@ -317,6 +317,21 @@ def test_exact_mode_rejects_continuous_noise():
     assert emp.n_samples == 10
 
 
+def test_large_continuous_sample_passes_the_sum_guard():
+    # 100 000 distinct atoms of fl(1/n) each: a naive float sum drifts past 1e-12
+    A = obj("A")
+    objm = ParameterizedSCM(
+        variables=(A,),
+        parents={A: ()},
+        domains={A: RealBox((0.0,), (1.0,), grid_step=None)},
+        param_domains={A: FiniteDomain((1,))},
+        assigns={A: SamplerAssign(lambda th, pa, rng: rng.random())},
+    )
+    emp = distribution(objm.at({A: 1}), n=100_000, seed=0)
+    assert emp.n_samples == 100_000
+    assert len(emp.atoms) == 100_000
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_sample_mode_rejects_empty_count(n):
     # an empty sample would divide by zero in expectation
