@@ -114,6 +114,17 @@ class VarId:
 
     name: str
     layer: Layer
+    # the dataclass hash, hash((name, layer)), cached: Layer hashes in Python
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.layer)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so re-hashed, in the loading process
+        return VarId, (self.name, self.layer)
 
     def paired(self, layer: Layer) -> "VarId":
         return VarId(self.name, layer)

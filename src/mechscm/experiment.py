@@ -7,7 +7,10 @@ Artifacts written to the output directory (every CSV number is written as
 
     ground_truth_train.csv / ground_truth_test.csv
         header: intervention_id,country,q_c,Q_W
-    report.json          evaluation report plus thresholds and diagnostics
+    report.json          evaluation report plus thresholds and diagnostics;
+                         median runs add median_residual (largest fixed-point
+                         gap), median_iterations (min / median / max over the
+                         train and test rows) and median_step_residual_max
     table1_row.csv       header: mechanism,model_mae,baseline_mae,improvement
     per_country.csv      vcg: country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q
                          others: country,citizens,mae_q,baseline_mae_q
@@ -48,7 +51,8 @@ from mechscm.surrogate import (
 from mechscm.voting import (
     ParameterRanges,
     generate_population,
-    median_fixed_point_residual,
+    intervention_blocks,
+    median_residuals,
 )
 
 __all__ = [
@@ -208,10 +212,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         ).to_dict()
         if cfg.mechanism == "median":
             report["median_residual"] = max(
-                median_fixed_point_residual(pop, iv, q)
+                float(median_residuals(pop, lam, data.q[rows]).max())
                 for data in (train_set, test_set)
-                for iv, q in zip(data.interventions, data.q)
+                for rows, lam in intervention_blocks(data.interventions)
             )
+            its = np.concatenate([train_set.iterations, test_set.iterations])
+            report["median_iterations"] = {
+                "min": int(its.min()), "median": float(np.median(its)), "max": int(its.max())
+            }
+            norms = np.concatenate([train_set.step_norms, test_set.step_norms])
+            report["median_step_residual_max"] = float(norms.max())
     report["delta_hat"] = [float(x) for x in delta.delta_hat]
     report["delta_method"] = delta.method
     report["final_train_loss"] = float(result.curve[-1])

@@ -7,6 +7,11 @@ average for the stochastic dictator mechanism); (2) a fully connected network
 maps the citizen-level intervention vector to per-country utility ratios,
 trained by Adam through the differentiable closed-form equilibrium so that
 predicted equilibria match ground truth.
+
+Every weight and bias of ``OmegaNetwork`` is a view into one float64 vector
+``params`` (per layer: weights row-major, then biases); gradients share the
+layout, so ``adam_step`` updates whole vectors in place.  Ground truth is
+solved ``voting.BLOCK_ROWS`` interventions at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +24,19 @@ import numpy as np
 from mechscm.abstraction import InterventionMapping, OmegaVar, PredicateDomain
 from mechscm.core import Setting, mech
 from mechscm.voting import (
+    BLOCK_ROWS,
     Intervention,
     Population,
+    dictator_block,
+    intervention_blocks,
+    median_block,
     median_ne,
     random_dictator_ne,
     sample_interventions,
+    vcg_block,
     vcg_country_params,
     vcg_ne,
+    vcg_params_block,
     zero_on_country_interventions,
 )
 
@@ -107,11 +118,23 @@ class DeltaEstimate:
 class OmegaNetwork:
     """Fully connected rectifier network from the citizen intervention vector
     to one utility-ratio output per country; weights Glorot-uniform, biases
-    zero, all seeded."""
+    zero, all seeded.  ``weights`` and ``biases`` are views into ``params``."""
 
-    def __init__(self, weights: list, biases: list):
-        self.weights = weights
-        self.biases = biases
+    def __init__(self, widths: tuple):
+        self.widths = tuple(widths)
+        self.params = np.zeros(sum(i * o + o for i, o in zip(self.widths[:-1], self.widths[1:])))
+        self.weights, self.biases = self.layers(self.params)
+
+    def layers(self, flat: np.ndarray) -> tuple:
+        """Per-layer weight and bias views into a vector laid out like
+        ``params``."""
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+            weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+            start += fan_in * fan_out
+            biases.append(flat[start : start + fan_out])
+            start += fan_out
+        return weights, biases
 
     @classmethod
     def init(
@@ -122,17 +145,11 @@ class OmegaNetwork:
         seed: int | np.random.SeedSequence = 0,
     ) -> "OmegaNetwork":
         rng = np.random.default_rng(seed)
-        widths = [input_dim, *hidden, output_dim]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
-
-    @property
-    def widths(self) -> tuple:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+        net = cls((input_dim, *hidden, output_dim))
+        for w in net.weights:
+            limit = np.sqrt(6.0 / sum(w.shape))  # fan_in + fan_out
+            w[:] = rng.uniform(-limit, limit, size=w.shape)
+        return net
 
     def forward_cached(self, lam: np.ndarray):
         """Returns (output, pre-activations per layer, activations per layer)
@@ -149,18 +166,18 @@ class OmegaNetwork:
             activations.append(h)
         return h, pre, activations
 
-    def backward(self, d_out: np.ndarray, pre: list, activations: list):
-        """Gradients of the scalar loss w.r.t. every weight and bias, given
-        the gradient at the (linear) output layer."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+    def backward(self, d_out: np.ndarray, pre: list, activations: list) -> np.ndarray:
+        """Gradient of the scalar loss w.r.t. ``params``, as a new vector in
+        the same layout, given the gradient at the (linear) output layer."""
+        grad = np.empty_like(self.params)
+        grads_w, grads_b = self.layers(grad)
         delta = d_out
         for i in reversed(range(len(self.weights))):
-            grads_w[i] = activations[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            np.matmul(activations[i].T, delta, out=grads_w[i])
+            delta.sum(axis=0, out=grads_b[i])
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (pre[i - 1] > 0.0)
-        return grads_w, grads_b
+        return grad
 
 
 def forward(net: OmegaNetwork, lam: np.ndarray | Intervention) -> np.ndarray:
@@ -195,8 +212,9 @@ def loss_and_gradient(
     delta_hat: np.ndarray,
 ):
     """Mean (over the batch) of the squared equilibrium error summed across
-    countries, and its gradients via reverse accumulation through both the
-    equilibrium formula and the network."""
+    countries, and its gradient w.r.t. ``net.params`` (a new vector per call)
+    via reverse accumulation through both the equilibrium formula and the
+    network."""
     out, pre, activations = net.forward_cached(lam_batch)
     gain = 0.5 / (1.0 + float(delta_hat.sum()))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -211,22 +229,32 @@ def loss_and_gradient(
     d_q = 2.0 * err / batch
     # dq_c/dalpha_k = 1{c=k}/2 - delta_c * gain
     d_alpha = 0.5 * d_q - gain * (d_q @ delta_hat)[:, None]
-    grads_w, grads_b = net.backward(d_alpha, pre, activations)
-    for g in grads_w + grads_b:
-        if not np.all(np.isfinite(g)):
-            raise NonFinite("gradient is not finite")
-    return loss, (grads_w, grads_b)
+    grad = net.backward(d_alpha, pre, activations)
+    if not np.isfinite(grad).all():
+        raise NonFinite("gradient is not finite")
+    return loss, grad
 
 
-def adam_step(net, m_state, v_state, grads_w, grads_b, cfg: TrainConfig, t: int):
-    params = net.weights + net.biases
-    grads = grads_w + grads_b
-    for i, (p, g) in enumerate(zip(params, grads)):
-        m_state[i] = cfg.beta1 * m_state[i] + (1 - cfg.beta1) * g
-        v_state[i] = cfg.beta2 * v_state[i] + (1 - cfg.beta2) * (g * g)
-        m_hat = m_state[i] / (1 - cfg.beta1**t)
-        v_hat = v_state[i] / (1 - cfg.beta2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+def adam_step(params: np.ndarray, grad: np.ndarray, state: np.ndarray, cfg: TrainConfig, t: int):
+    """In-place Adam step t on ``params``; ``state`` rows are the first and
+    second moments and two scratch rows.  Operation order is that of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)."""
+    m, v, s, u = state
+    m *= cfg.beta1
+    np.multiply(grad, 1 - cfg.beta1, out=s)
+    m += s
+    v *= cfg.beta2
+    np.multiply(grad, grad, out=s)
+    s *= 1 - cfg.beta2
+    v += s
+    np.divide(m, 1 - cfg.beta1**t, out=s)
+    np.divide(v, 1 - cfg.beta2**t, out=u)
+    np.sqrt(u, out=u)
+    u += cfg.eps
+    s *= cfg.learning_rate
+    s /= u
+    params -= s
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +265,8 @@ def adam_step(net, m_state, v_state, grads_w, grads_b, cfg: TrainConfig, t: int)
 class GroundTruthSet:
     interventions: tuple
     q: np.ndarray  # (n, C)
+    iterations: Optional[np.ndarray] = None  # median only: per-row iterations
+    step_norms: Optional[np.ndarray] = None  # median only: per-row final step 2-norm
 
 
 def solve_mechanism(
@@ -255,6 +285,23 @@ def solve_mechanism(
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
+def _solve_rows(mechanism: str, pop: Population, interventions, seeds=None) -> tuple:
+    """Levels (n, C), solved ``BLOCK_ROWS`` rows at a time, then for median
+    each row's iteration count and final step norm; dictator row j draws from
+    ``seeds[j]``."""
+    parts = []
+    for rows, lam in intervention_blocks(interventions):
+        if mechanism == "vcg":
+            parts.append(vcg_block(pop, lam)[:1])
+        elif mechanism == "median":
+            parts.append(median_block(pop, lam))
+        elif mechanism == "dictator":
+            parts.append(dictator_block(pop, lam, seeds[rows])[:1])
+        else:
+            raise ValueError(f"unknown mechanism {mechanism!r}")
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
 def make_dataset(
     mechanism: str,
     pop: Population,
@@ -266,11 +313,7 @@ def make_dataset(
     intervention."""
     iv_seed, draw_seed = _seed_sequence(seed).spawn(2)
     ivs = sample_interventions(pop, iv_seed, n)
-    rows = [
-        solve_mechanism(mechanism, pop, iv, dictator_seed=child).q
-        for iv, child in zip(ivs, draw_seed.spawn(n))
-    ]
-    return GroundTruthSet(interventions=tuple(ivs), q=np.stack(rows))
+    return GroundTruthSet(tuple(ivs), *_solve_rows(mechanism, pop, ivs, draw_seed.spawn(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +343,7 @@ def estimate_delta(
     points = []
     for c in range(pop.n_countries):
         ivs = zero_on_country_interventions(pop, c, children[c], n=DELTA_PROBES)
-        qs = np.array([solve_mechanism(mechanism, pop, iv).q for iv in ivs])
+        qs = _solve_rows(mechanism, pop, ivs)[0]
         x = qs.sum(axis=1)
         y = qs[:, c]
         x_var = float(np.var(x))
@@ -359,9 +402,7 @@ def train(
     else:
         q0 = solve_mechanism(mechanism, pop, Intervention.zero(pop)).q
     net.biases[-1][:] = 2.0 * (q0 + delta.delta_hat * float(q0.sum()))
-    params = net.weights + net.biases
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    adam = np.zeros((4, net.params.size))
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     curve = np.empty(cfg.epochs)
@@ -374,10 +415,10 @@ def train(
             idx = order[start : start + cfg.batch_size]
             t += 1
             try:
-                loss, (gw, gb) = loss_and_gradient(net, lam_all[idx], q_all[idx], delta.delta_hat)
+                loss, grad = loss_and_gradient(net, lam_all[idx], q_all[idx], delta.delta_hat)
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}: {exc}") from exc
-            adam_step(net, m_state, v_state, gw, gb, cfg, t)
+            adam_step(net.params, grad, adam, cfg, t)
             epoch_loss += loss * len(idx)
         curve[epoch] = epoch_loss / n
     return TrainResult(net=net, curve=curve)
@@ -428,11 +469,11 @@ def dictator_baseline(
     """Average un-intervened equilibrium over seeded dictator redraws."""
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
-    zero = Intervention.zero(pop)
     children = _seed_sequence(seed).spawn(n_draws)
-    acc = np.zeros(pop.n_countries)
-    for child in children:
-        acc += random_dictator_ne(pop, zero, seed=child).q
+    zero, acc = np.zeros((1, pop.total)), np.zeros(pop.n_countries)
+    for start in range(0, n_draws, BLOCK_ROWS):
+        for q in dictator_block(pop, zero, children[start : start + BLOCK_ROWS])[0]:
+            acc += q
     return acc / n_draws
 
 
@@ -455,12 +496,7 @@ def stochastic_floor(
     total = 0.0
     for j in range(n_interventions):
         iv = test_set.interventions[j % len(test_set.interventions)]
-        qs = np.stack(
-            [
-                random_dictator_ne(pop, iv, seed=children[j * n_redraws + k]).q
-                for k in range(n_redraws)
-            ]
-        )
+        qs = dictator_block(pop, iv.lam[None], children[j * n_redraws : (j + 1) * n_redraws])[0]
         total += float(np.abs(qs - qs.mean(axis=0)).mean(axis=0).sum())
     return total / n_interventions
 
@@ -499,9 +535,8 @@ def evaluate(
         zero_params = vcg_country_params(pop, Intervention.zero(pop))
         true_delta = zero_params.delta
         mae_delta = np.abs(delta.delta_hat - true_delta)
-        alphas_true = np.stack(
-            [vcg_country_params(pop, iv).alpha for iv in test_set.interventions]
-        )
+        blocks = intervention_blocks(test_set.interventions)
+        alphas_true = np.concatenate([vcg_params_block(pop, lam)[0] for _, lam in blocks])
         mae_alpha = np.abs(alpha_hat - alphas_true).mean(axis=0)
 
     floor = None

@@ -7,12 +7,20 @@ play a Nash equilibrium whose closed form, given per-country utility ratios
 alpha = A/B and delta = D/B, is
 
     Q_W = (sum(alpha) / 2) / (1 + sum(delta)),    q_c = alpha_c / 2 - delta_c * Q_W.
+
+Each mechanism has one block solver (``vcg_block``, ``median_block``,
+``dictator_block``) over a (B, N) matrix of preference reductions, one
+intervention per row, of which ``vcg_ne``, ``median_ne`` and
+``random_dictator_ne`` are the one-row case.  Callers pass blocks of at most
+``BLOCK_ROWS`` = 64 rows (``intervention_blocks``), which bounds the (B, N)
+temporaries; every row's result is bit-identical to solving it alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -26,13 +34,20 @@ __all__ = [
     "Intervention",
     "CountryParams",
     "NEResult",
+    "BLOCK_ROWS",
+    "intervention_blocks",
     "generate_population",
     "ne_from_params",
     "vcg_ne",
     "vcg_country_params",
+    "vcg_params_block",
+    "vcg_block",
     "median_ne",
+    "median_block",
+    "median_residuals",
     "median_fixed_point_residual",
     "random_dictator_ne",
+    "dictator_block",
     "sample_interventions",
     "zero_on_country_interventions",
     "LAMBDA_MAX",
@@ -40,6 +55,7 @@ __all__ = [
 
 LAMBDA_MAX = 0.1
 BETA_CONCENTRATION = 10.0
+BLOCK_ROWS = 64  # interventions per block-solver call
 
 
 class InvalidConfig(ValueError):
@@ -113,10 +129,7 @@ class Intervention:
         return cls(np.zeros(pop.total))
 
     def validate_for(self, pop: Population) -> None:
-        if len(self.lam) != pop.total:
-            raise InvalidConfig("intervention length must equal the citizen count")
-        if np.any(pop.a - self.lam < -1e-12):
-            raise NegativePreference("a - lambda must stay non-negative")
+        _preferences(pop, self.lam[None])
 
 
 @dataclass(frozen=True)
@@ -237,44 +250,113 @@ def zero_on_country_interventions(
 # Nash equilibria
 
 
+def intervention_blocks(interventions) -> Iterator[tuple]:
+    """(row slice, stacked (B, N) lambdas) for each run of at most BLOCK_ROWS
+    consecutive interventions: the input of the block solvers."""
+    for start in range(0, len(interventions), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        yield rows, np.stack([iv.lam for iv in interventions[rows]])
+
+
+def _preferences(pop: Population, lam: np.ndarray) -> np.ndarray:
+    """a - lambda per row of a (B, N) block, which must have one column per
+    citizen and keep every a - lambda non-negative."""
+    if lam.ndim != 2 or lam.shape[1] != pop.total:
+        raise InvalidConfig("intervention length must equal the citizen count")
+    x = pop.a - lam
+    if np.any(x < -1e-12):
+        raise NegativePreference("a - lambda must stay non-negative")
+    return x
+
+
+def _closed_form(alpha: np.ndarray, delta: np.ndarray) -> tuple:
+    """Levels (B, C) and totals (B,) for alpha (B, C) and delta (C,) or (B, C)."""
+    total = 0.5 * alpha.sum(axis=1) / (1.0 + delta.sum(axis=-1))
+    return alpha / 2.0 - delta * total[:, None], total
+
+
 def ne_from_params(p: CountryParams) -> NEResult:
     """Closed-form equilibrium of the country-level quadratic game."""
-    total = float(0.5 * np.sum(p.alpha) / (1.0 + np.sum(p.delta)))
-    q = p.alpha / 2.0 - p.delta * total
-    return NEResult(q=q, Q_W=total)
+    q, total = _closed_form(p.alpha[None], p.delta)
+    return NEResult(q=q[0], Q_W=float(total[0]))
+
+
+def vcg_params_block(pop: Population, lam: np.ndarray) -> tuple:
+    """Ground-truth ratios under truthful aggregation: alpha (B, C), delta (C,)."""
+    x = _preferences(pop, lam)
+    slices = [pop.country_slice(c) for c in range(pop.n_countries)]
+    B = np.array([np.sum(pop.b[sl]) for sl in slices])
+    A = np.stack([x[:, sl].sum(axis=1) for sl in slices], axis=1)
+    return A / B, np.array([np.sum(pop.d[sl]) for sl in slices]) / B
+
+
+def vcg_block(pop: Population, lam: np.ndarray) -> tuple:
+    """Truthful reporting aggregates each country's coefficients, so each
+    equilibrium is the closed form at the summed parameters: (q, Q_W)."""
+    return _closed_form(*vcg_params_block(pop, lam))
 
 
 def vcg_ne(pop: Population, iv: Intervention) -> NEResult:
-    """Truthful reporting aggregates each country's coefficients, so the
-    equilibrium is the closed form at the summed parameters."""
     return ne_from_params(vcg_country_params(pop, iv))
 
 
 def vcg_country_params(pop: Population, iv: Intervention) -> CountryParams:
-    """Ground-truth (alpha, delta) under truthful aggregation."""
-    iv.validate_for(pop)
-    A = np.empty(pop.n_countries)
-    B = np.empty(pop.n_countries)
-    D = np.empty(pop.n_countries)
-    for c in range(pop.n_countries):
-        sl = pop.country_slice(c)
-        A[c] = np.sum(pop.a[sl] - iv.lam[sl])
-        B[c] = np.sum(pop.b[sl])
-        D[c] = np.sum(pop.d[sl])
-    return CountryParams(alpha=A / B, delta=D / B)
+    alpha, delta = vcg_params_block(pop, iv.lam[None])
+    return CountryParams(alpha=alpha[0], delta=delta)
 
 
-def _median_targets(pop: Population, iv: Intervention, q: np.ndarray) -> np.ndarray:
+def _median_targets(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Each citizen votes for their individually optimal pollution level given
     the other countries' current total; the country target is the lower
-    median of its citizens' votes."""
-    Q_minus = float(np.sum(q)) - q[pop.country_of]
-    votes = (pop.a - iv.lam - 2.0 * pop.d * Q_minus) / (2.0 * (pop.b + pop.d))
-    targets = np.empty(pop.n_countries)
-    for c in range(pop.n_countries):
-        block = np.sort(votes[pop.country_slice(c)])
-        targets[c] = block[(len(block) - 1) // 2]
+    median of its citizens' votes.  Per row of x = a - lambda and q (B, C)."""
+    # votes = (x - 2d * (sum(q) - q_country)) / (2 (b + d)), in one buffer
+    votes = np.repeat(q, pop.sizes, axis=1)
+    np.subtract(q.sum(axis=1, keepdims=True), votes, out=votes)
+    votes *= 2.0 * pop.d
+    np.subtract(x, votes, out=votes)
+    votes /= 2.0 * (pop.b + pop.d)
+    targets = np.empty(q.shape)
+    for c, size in enumerate(pop.sizes):
+        block = votes[:, pop.country_slice(c)]
+        block.partition((size - 1) // 2, axis=1)
+        targets[:, c] = block[:, (size - 1) // 2]
     return targets
+
+
+def median_block(
+    pop: Population,
+    lam: np.ndarray,
+    damping: float = 0.3,
+    tol: float = 1e-6,
+    max_iter: int = 10_000,
+) -> tuple:
+    """Damped synchronous iteration on the per-country median vote, from all
+    pollution levels zero, on every row at once; a row stops at the first
+    update step of 2-norm at most ``tol``.  Returns the levels (B, C), each
+    row's iteration count and final step norm; NoConvergence if any row has
+    not stopped after ``max_iter`` iterations."""
+    if max_iter < 1:
+        raise InvalidConfig("need max_iter >= 1")
+    x = _preferences(pop, lam)
+    n = len(x)
+    levels, iterations, norms = np.empty((n, pop.n_countries)), np.empty(n, int), np.empty(n)
+    rows, q = np.arange(n), np.zeros(levels.shape)
+    for iteration in range(1, max_iter + 1):
+        step = damping * (_median_targets(pop, x, q) - q)
+        q = q + step
+        norm = np.sqrt((step * step).sum(axis=1))
+        done = norm <= tol
+        if done.any():
+            finished = rows[done]
+            levels[finished], iterations[finished], norms[finished] = q[done], iteration, norm[done]
+            rows, q, x = rows[~done], q[~done], x[~done]
+            if rows.size == 0:
+                return levels, iterations, norms
+    raise NoConvergence(
+        f"median iteration did not reach {tol} in {max_iter} steps on {rows.size} rows",
+        float(norm[~done].max()),
+        max_iter,
+    )
 
 
 def median_ne(
@@ -284,48 +366,35 @@ def median_ne(
     tol: float = 1e-6,
     max_iter: int = 10_000,
 ) -> NEResult:
-    """Damped synchronous iteration on the per-country median vote, from all
-    pollution levels zero, stopping when the update step's 2-norm is at most
-    ``tol``."""
-    if max_iter < 1:
-        raise InvalidConfig("need max_iter >= 1")
-    iv.validate_for(pop)
-    q = np.zeros(pop.n_countries)
-    for iteration in range(1, max_iter + 1):
-        targets = _median_targets(pop, iv, q)
-        step = damping * (targets - q)
-        q = q + step
-        step_norm = float(np.linalg.norm(step))
-        if step_norm <= tol:
-            return NEResult(q=q, Q_W=float(np.sum(q)), iterations=iteration, residual=step_norm)
-    raise NoConvergence(
-        f"median iteration did not reach {tol} in {max_iter} steps",
-        step_norm,
-        max_iter,
+    q, iterations, norms = median_block(pop, iv.lam[None], damping, tol, max_iter)
+    return NEResult(
+        q=q[0], Q_W=float(np.sum(q[0])), iterations=int(iterations[0]), residual=float(norms[0])
     )
 
 
+def median_residuals(pop: Population, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row, the max-norm gap between the levels q (B, C) and the median
+    votes they induce."""
+    return np.abs(_median_targets(pop, _preferences(pop, lam), q) - q).max(axis=1)
+
+
 def median_fixed_point_residual(pop: Population, iv: Intervention, q: np.ndarray) -> float:
-    """Max-norm gap between the returned levels and the median votes they
-    induce."""
-    targets = _median_targets(pop, iv, q)
-    return float(np.max(np.abs(targets - q)))
+    return float(median_residuals(pop, iv.lam[None], np.asarray(q)[None])[0])
+
+
+def dictator_block(pop: Population, lam: np.ndarray, seeds) -> tuple:
+    """One uniformly drawn citizen per country dictates its country's utility
+    ratios; each equilibrium is the closed form at those ratios.  Row j draws
+    from ``default_rng(seeds[j])``, one country at a time; ``lam`` has one
+    row per seed or one shared row.  Returns (q, Q_W, dictator indices)."""
+    x = np.broadcast_to(_preferences(pop, lam), (len(seeds), pop.total))
+    idx = np.empty((len(seeds), pop.n_countries), dtype=int)
+    for row, rng in zip(idx, map(np.random.default_rng, seeds)):
+        row[:] = [start + int(rng.integers(size)) for start, size in zip(pop.offsets, pop.sizes)]
+    alpha = x[np.arange(len(seeds))[:, None], idx] / pop.b[idx]
+    return (*_closed_form(alpha, pop.d[idx] / pop.b[idx]), idx)
 
 
 def random_dictator_ne(pop: Population, iv: Intervention, seed: int) -> NEResult:
-    """One uniformly drawn citizen per country dictates its country's utility
-    ratios; the equilibrium is the closed form at those ratios."""
-    iv.validate_for(pop)
-    rng = np.random.default_rng(seed)
-    alpha = np.empty(pop.n_countries)
-    delta = np.empty(pop.n_countries)
-    dictators = []
-    for c in range(pop.n_countries):
-        sl = pop.country_slice(c)
-        i = int(rng.integers(pop.sizes[c]))
-        idx = sl.start + i
-        alpha[c] = (pop.a[idx] - iv.lam[idx]) / pop.b[idx]
-        delta[c] = pop.d[idx] / pop.b[idx]
-        dictators.append(idx)
-    base = ne_from_params(CountryParams(alpha=alpha, delta=delta))
-    return NEResult(q=base.q, Q_W=base.Q_W, dictators=tuple(dictators))
+    q, total, idx = dictator_block(pop, iv.lam[None], [seed])
+    return NEResult(q=q[0], Q_W=float(total[0]), dictators=tuple(int(i) for i in idx[0]))

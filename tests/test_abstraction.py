@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzgen
+
 from mechscm.core import (
     EMPTY_SETTING,
     Distribution,
@@ -42,6 +44,7 @@ from mechscm.examples import (
     shared_utility_pair,
     shared_utility_tables,
 )
+from mechscm.quotient import quotient_abstraction
 from mechscm.rationality import RationalityRelation, UtilityFn, enumerate_contexts, is_nontrivial_agent
 
 
@@ -170,6 +173,20 @@ def test_dists_match_is_the_bottleneck_matching(case, tol):
     assert expected == (best <= tol, best)
     assert dists_match([set1[i] for i in perm_left], [set2[i] for i in perm_right], tol) == expected
     assert dists_match(set2, set1, tol) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 199), st.randoms(use_true_random=False))
+def test_check_abstraction_invariant_under_suite_permutation(seed, index, rnd):
+    case = fuzzgen.random_case(seed, index)
+    high, a, t, w = quotient_abstraction(case.low, case.groups)
+    suite = list(full_subset_suite(w, include_empty=True)[:12])
+    shuffled = suite[:]
+    rnd.shuffle(shuffled)
+    reports = [check_abstraction(case.low, high, a, t, w, s) for s in (suite, shuffled)]
+    by_intervention = [{e.low_intervention: e for e in r.entries} for r in reports]
+    assert by_intervention[0] == by_intervention[1]
+    assert reports[0].ok == reports[1].ok
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from mechscm.core import (
     FiniteDomain,
     IncompleteSolution,
     KernelAssign,
+    Layer,
     MechanizedSCM,
     NoConvergence,
     NonFiniteDomain,
@@ -35,10 +40,29 @@ from mechscm.core import (
     solution_set,
     solve_enumerate,
     solve_fixed_point,
+    VarId,
 )
 
 X1 = mech("X1")
 X2 = mech("X2")
+
+
+def test_varid_hash_is_the_dataclass_hash():
+    # the cached hash is the value the frozen dataclass computes, so set
+    # iteration orders, and every output built from them, stay the same
+    for name in ("A", "S*", "V0", ""):
+        for layer in Layer:
+            assert hash(VarId(name, layer)) == hash((name, layer))
+    # str hashes differ between processes: a VarId pickled elsewhere must be
+    # re-hashed here, or set and dict lookups would miss it
+    code = (
+        "import pickle, sys; from mechscm.core import obj; "
+        "sys.stdout.buffer.write(pickle.dumps(obj('A')))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    loaded = pickle.loads(done.stdout)
+    assert hash(loaded) == hash(("A", Layer.OBJECT)) and loaded in {obj("A")}
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,13 @@ def test_manifest_complete_and_hashes_match(runs):
         assert hashlib.sha256((result.out_dir / name).read_bytes()).hexdigest() == digest
     report = json.loads((result.out_dir / "report.json").read_text())
     assert report["thresholds_ok"] == result.thresholds_ok
-    assert ("median_residual" in report) == (result.config.mechanism == "median")
+    is_median = result.config.mechanism == "median"
+    for key in ("median_residual", "median_iterations", "median_step_residual_max"):
+        assert (key in report) == is_median
+    if is_median:
+        stats = report["median_iterations"]
+        assert 1 <= stats["min"] <= stats["median"] <= stats["max"]
+        assert 0.0 <= report["median_step_residual_max"] <= 1e-6
 
 
 def test_runs_reproducible(runs):

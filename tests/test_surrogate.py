@@ -125,7 +125,8 @@ def test_perfect_predictions_zero_loss_and_gradient():
     delta = np.array([0.2, 0.1])
     alpha = forward(net, lam)
     q = ne_q_hat(alpha, delta)
-    loss, (gw, gb) = loss_and_gradient(net, lam, q, delta)
+    loss, grad = loss_and_gradient(net, lam, q, delta)
+    gw, gb = net.layers(grad)
     assert loss == pytest.approx(0.0, abs=1e-20)
     assert all(np.allclose(g, 0.0) for g in gw + gb)
 
@@ -172,7 +173,8 @@ def test_gradient_matches_central_differences_50_configs():
     worst = 0.0
     for seed in range(50):
         net, lam, q, delta = _random_small_config(seed)
-        _, (gw, gb) = loss_and_gradient(net, lam, q, delta)
+        _, grad = loss_and_gradient(net, lam, q, delta)
+        gw, gb = net.layers(grad)
         numeric = _numeric_gradient(net, lam, q, delta)
         analytic = gw + gb
         num_flat = np.concatenate([g.ravel() for g in numeric])
@@ -190,13 +192,47 @@ def test_gradient_single_country_hand_derivation():
     q = np.array([[1.2]])
     delta = np.zeros(1)
     alpha = forward(net, lam)
-    loss, (gw, gb) = loss_and_gradient(net, lam, q, delta)
+    loss, grad = loss_and_gradient(net, lam, q, delta)
+    gw, gb = net.layers(grad)
     resid = float(alpha[0, 0] / 2.0 - q[0, 0])
     assert loss == pytest.approx(resid**2, abs=1e-12)
     # dalpha/dw_i = 10 * lam_i, dalpha/db = 1
     want_w = resid * (10.0 * lam[0])
     assert np.allclose(gw[0].ravel(), want_w, atol=1e-12)
     assert gb[0][0] == pytest.approx(resid, abs=1e-12)
+
+
+def test_successive_gradients_are_not_aliased():
+    net, lam, q, delta = _random_small_config(0)
+    _, first = loss_and_gradient(net, lam, q, delta)
+    kept = first.copy()
+    _, second = loss_and_gradient(net, lam[:1], q[:1] + 1.0, delta)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+
+
+def test_adam_step_matches_per_layer_reference():
+    # the per-array update the flat one replaced, in its order of operations
+    cfg = TrainConfig()
+    net = OmegaNetwork.init(7, 3, hidden=(5, 4), seed=2)
+    ref = [p.copy() for p in net.weights + net.biases]
+    m_ref = [np.zeros_like(p) for p in ref]
+    v_ref = [np.zeros_like(p) for p in ref]
+    state = np.zeros((4, net.params.size))
+    rng = np.random.default_rng(3)
+    for t in range(1, 101):
+        grad = rng.normal(0.0, 1.0, size=net.params.size) * rng.uniform(0.0, 2.0)
+        gw, gb = net.layers(grad)
+        for i, (p, g) in enumerate(zip(ref, gw + gb)):
+            m_ref[i] = cfg.beta1 * m_ref[i] + (1 - cfg.beta1) * g
+            v_ref[i] = cfg.beta2 * v_ref[i] + (1 - cfg.beta2) * (g * g)
+            m_hat = m_ref[i] / (1 - cfg.beta1**t)
+            v_hat = v_ref[i] / (1 - cfg.beta2**t)
+            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        adam_step(net.params, grad, state, cfg, t)
+    assert all(np.array_equal(p, r) for p, r in zip(net.weights + net.biases, ref))
+    moments = net.layers(state[0])[0] + net.layers(state[0])[1]
+    assert all(np.array_equal(m, r) for m, r in zip(moments, m_ref))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")

@@ -4,7 +4,10 @@ mechanisms, each checked against independent best-response oracles."""
 import numpy as np
 import pytest
 
+from mechscm.core import NoConvergence
+from mechscm.surrogate import make_dataset
 from mechscm.voting import (
+    BLOCK_ROWS,
     LAMBDA_MAX,
     CountryParams,
     Intervention,
@@ -14,6 +17,7 @@ from mechscm.voting import (
     ParameterRanges,
     _citizen_lambdas,
     generate_population,
+    median_block,
     median_fixed_point_residual,
     median_ne,
     ne_from_params,
@@ -323,3 +327,65 @@ def test_dictator_average_approaches_population_mean_behavior():
     assert np.all(spread > 0.0)
     mean_total = qs.sum(axis=1).mean()
     assert np.isfinite(mean_total)
+
+
+# ---------------------------------------------------------------------------
+# Block solvers against the row-by-row solvers they replaced
+
+
+def _row_by_row(mechanism, pop, interventions, seeds):
+    """Each intervention solved alone with per-country sums, a sorted lower
+    median and np.linalg.norm: (levels, median iteration counts)."""
+    sl = [pop.country_slice(c) for c in range(pop.n_countries)]
+    levels, iterations = [], []
+    for iv, seed in zip(interventions, seeds):
+        if mechanism == "median":
+            q = np.zeros(pop.n_countries)
+            for iteration in range(1, 10_001):
+                q_minus = float(np.sum(q)) - q[pop.country_of]
+                votes = (pop.a - iv.lam - 2.0 * pop.d * q_minus) / (2.0 * (pop.b + pop.d))
+                targets = np.array([np.sort(votes[s])[(len(votes[s]) - 1) // 2] for s in sl])
+                step = 0.3 * (targets - q)
+                q = q + step
+                if float(np.linalg.norm(step)) <= 1e-6:
+                    break
+            levels.append(q)
+            iterations.append(iteration)
+            continue
+        if mechanism == "vcg":
+            b = np.array([np.sum(pop.b[s]) for s in sl])
+            alpha = np.array([np.sum(pop.a[s] - iv.lam[s]) for s in sl]) / b
+            delta = np.array([np.sum(pop.d[s]) for s in sl]) / b
+        else:
+            rng = np.random.default_rng(seed)
+            idx = [s.start + int(rng.integers(s.stop - s.start)) for s in sl]
+            alpha = (pop.a[idx] - iv.lam[idx]) / pop.b[idx]
+            delta = pop.d[idx] / pop.b[idx]
+        total = float(0.5 * np.sum(alpha) / (1.0 + np.sum(delta)))
+        levels.append(alpha / 2.0 - delta * total)
+    return np.stack(levels), iterations
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "median", "dictator"])
+def test_block_ground_truth_matches_row_by_row(mechanism):
+    pop = generate_population(seed=8, n_countries=4, total_citizens=300)
+    n = BLOCK_ROWS + 7  # a full block and a partial one
+    data = make_dataset(mechanism, pop, n, 21)
+    seeds = np.random.SeedSequence(21).spawn(2)[1].spawn(n)
+    levels, iterations = _row_by_row(mechanism, pop, data.interventions, seeds)
+    assert data.q.tobytes() == levels.tobytes()
+    if mechanism == "median":
+        assert data.iterations.tolist() == iterations
+        assert np.all(data.step_norms <= 1e-6)
+
+
+def test_median_block_raises_when_any_row_fails():
+    pop = generate_population(seed=11, total_citizens=300)
+    lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=4, n=6)])
+    _, iterations, _ = median_block(pop, lam)
+    assert iterations.min() < iterations.max()
+    with pytest.raises(NoConvergence) as exc:
+        median_block(pop, lam, max_iter=int(iterations.min()))
+    assert exc.value.iterations == iterations.min() and exc.value.residual > 1e-6
+    with pytest.raises(InvalidConfig):
+        median_block(pop, lam, max_iter=0)
