@@ -24,18 +24,15 @@ import numpy as np
 from mechscm.abstraction import InterventionMapping, OmegaVar, PredicateDomain
 from mechscm.core import Setting, mech
 from mechscm.voting import (
-    BLOCK_ROWS,
     Intervention,
     Population,
     dictator_block,
     intervention_blocks,
     median_block,
-    median_ne,
-    random_dictator_ne,
+    median_ne,  # noqa: F401  (perfbench's tracer expects it in this namespace)
     sample_interventions,
     vcg_block,
     vcg_country_params,
-    vcg_ne,
     vcg_params_block,
     zero_on_country_interventions,
 )
@@ -48,7 +45,6 @@ __all__ = [
     "DeltaEstimate",
     "OmegaNetwork",
     "GroundTruthSet",
-    "solve_mechanism",
     "make_dataset",
     "estimate_delta",
     "forward",
@@ -269,22 +265,6 @@ class GroundTruthSet:
     step_norms: Optional[np.ndarray] = None  # median only: per-row final step 2-norm
 
 
-def solve_mechanism(
-    mechanism: str,
-    pop: Population,
-    iv: Intervention,
-    *,
-    dictator_seed=None,
-):
-    if mechanism == "vcg":
-        return vcg_ne(pop, iv)
-    if mechanism == "median":
-        return median_ne(pop, iv)
-    if mechanism == "dictator":
-        return random_dictator_ne(pop, iv, seed=dictator_seed)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
-
-
 def _solve_rows(mechanism: str, pop: Population, interventions, seeds=None) -> tuple:
     """Levels (n, C), solved ``BLOCK_ROWS`` rows at a time, then for median
     each row's iteration count and final step norm; dictator row j draws from
@@ -400,7 +380,7 @@ def train(
     if mechanism == "dictator":
         q0 = dictator_baseline(pop, n_draws=200, seed=warm_seed)
     else:
-        q0 = solve_mechanism(mechanism, pop, Intervention.zero(pop)).q
+        q0 = _solve_rows(mechanism, pop, [Intervention.zero(pop)])[0][0]
     net.biases[-1][:] = 2.0 * (q0 + delta.delta_hat * float(q0.sum()))
     adam = np.zeros((4, net.params.size))
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -470,10 +450,9 @@ def dictator_baseline(
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     children = _seed_sequence(seed).spawn(n_draws)
-    zero, acc = np.zeros((1, pop.total)), np.zeros(pop.n_countries)
-    for start in range(0, n_draws, BLOCK_ROWS):
-        for q in dictator_block(pop, zero, children[start : start + BLOCK_ROWS])[0]:
-            acc += q
+    acc = np.zeros(pop.n_countries)
+    for q in dictator_block(pop, np.zeros((1, pop.total)), children)[0]:
+        acc += q
     return acc / n_draws
 
 
@@ -525,7 +504,7 @@ def evaluate(
     if mechanism == "dictator":
         q0 = dictator_baseline(pop, n_draws=baseline_draws, seed=baseline_seed)
     else:
-        q0 = solve_mechanism(mechanism, pop, Intervention.zero(pop)).q
+        q0 = _solve_rows(mechanism, pop, [Intervention.zero(pop)])[0][0]
     base_err = np.abs(q0[None, :] - test_set.q)
     per_country_base = base_err.mean(axis=0)
     baseline_mae = float(per_country_base.sum())

@@ -11,9 +11,10 @@ alpha = A/B and delta = D/B, is
 Each mechanism has one block solver (``vcg_block``, ``median_block``,
 ``dictator_block``) over a (B, N) matrix of preference reductions, one
 intervention per row, of which ``vcg_ne``, ``median_ne`` and
-``random_dictator_ne`` are the one-row case.  Callers pass blocks of at most
-``BLOCK_ROWS`` = 64 rows (``intervention_blocks``), which bounds the (B, N)
-temporaries; every row's result is bit-identical to solving it alone.
+``random_dictator_ne`` are the one-row case.  ``intervention_blocks`` stacks
+at most ``BLOCK_ROWS`` = 64 distinct lambda rows per call, which bounds the
+(B, N) temporaries; ``dictator_block`` may share one lambda row across any
+number of seeds.  Every row's result is bit-identical to solving it alone.
 """
 
 from __future__ import annotations
