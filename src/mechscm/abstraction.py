@@ -270,23 +270,22 @@ def push_omega(a: Optional[Alignment], w: InterventionMapping, low_intervention:
 
 
 def _dist_distance(d1: Distribution, d2: Distribution) -> float:
-    """Sup-norm between two exact distributions, aligning atoms by
-    value-closeness and treating unmatched atoms as probability zero."""
+    """Sup-norm between two exact distributions, treating unmatched atoms as
+    probability zero.  An atom pairs with its equal atom in the other table
+    when ``close_to`` confirms it ({A: True} equals {A: 1} but is not close
+    to it), else with the first atom, in canonical order, close to it; so in
+    a table with two distinct atoms within FLOAT_TOL, each pairs with its
+    own equal atom, not the first close one."""
     worst = 0.0
-    for s1, p1 in d1.atoms:
-        p2 = 0.0
-        for s2, q in d2.atoms:
-            if s1.close_to(s2):
-                p2 = q
-                break
-        worst = max(worst, abs(p1 - p2))
-    for s2, p2 in d2.atoms:
-        p1 = 0.0
-        for s1, q in d1.atoms:
-            if s2.close_to(s1):
-                p1 = q
-                break
-        worst = max(worst, abs(p2 - p1))
+    for mine, theirs in ((d1.atoms, d2.atoms), (d2.atoms, d1.atoms)):
+        equal = {atom[0]: atom for atom in theirs}
+        for s, p in mine:
+            atom = equal.get(s)
+            if atom is not None and s.close_to(atom[0]):
+                q = atom[1]
+            else:
+                q = next((q for t, q in theirs if s.close_to(t)), 0.0)
+            worst = max(worst, abs(p - q))
     return worst
 
 

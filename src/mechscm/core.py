@@ -114,11 +114,14 @@ class VarId:
 
     name: str
     layer: Layer
-    # the dataclass hash, hash((name, layer)), cached: Layer hashes in Python
+    # cached, not compared: the dataclass hash, hash((name, layer)), since
+    # Layer hashes in Python, and the order key that canonical tables sort by
     _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.name, self.layer)))
+        object.__setattr__(self, "_key", (self.name, self.layer.value))
 
     def __hash__(self) -> int:
         return self._hash
@@ -208,15 +211,19 @@ def values_close(x, y, tol: float = FLOAT_TOL) -> bool:
 
 
 def canon_key(value):
-    """A deterministic sort key over heterogeneous values."""
+    """A deterministic sort key over heterogeneous values.  Plain ints and
+    floats are matched by exact type first; bool, np.float64 and the rest
+    take the isinstance chain, tuples first (no tuple is a bool, number or str)."""
+    if type(value) is int or type(value) is float:
+        return ("f", float(value))
+    if isinstance(value, tuple):
+        return ("t", tuple([canon_key(v) for v in value]))
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float)):
         return ("f", float(value))
     if isinstance(value, str):
         return ("s", value)
-    if isinstance(value, tuple):
-        return ("t", tuple(canon_key(v) for v in value))
     if isinstance(value, Table):
         return ("T", canon_key(value.keys), canon_key(value.values))
     return ("r", repr(value))
@@ -396,13 +403,12 @@ class Setting(Mapping):
         return Setting(merged)
 
     def sorted_items(self) -> tuple:
-        return tuple(
-            sorted(self._items.items(), key=lambda kv: (kv[0].name, kv[0].layer.value))
-        )
+        return tuple(sorted(self._items.items(), key=lambda kv: kv[0]._key))
 
     def close_to(self, other: "Setting", tol: float = FLOAT_TOL) -> bool:
-        return self.vars == other.vars and all(
-            values_close(x, other[v], tol) for v, x in self._items.items()
+        theirs = other._items
+        return self._items.keys() == theirs.keys() and all(
+            values_close(x, theirs[v], tol) for v, x in self._items.items()
         )
 
     def __repr__(self) -> str:
@@ -419,7 +425,13 @@ def project(s: Setting, targets: Iterable[VarId]) -> Setting:
 
 
 def setting_sort_key(s: Setting):
-    return tuple((v.name, v.layer.value, canon_key(x)) for v, x in s.sorted_items())
+    return _items_key(s.sorted_items())
+
+
+def _items_key(items) -> tuple:
+    """The canonical order key of (VarId, value) pairs given in variable
+    order: one (name, layer value, canon_key(value)) triple per pair."""
+    return tuple([(*v._key, canon_key(x)) for v, x in items])
 
 
 def _topological_order(variables: Sequence[VarId], parents: Mapping) -> Optional[tuple]:
@@ -875,7 +887,10 @@ def induce_scm(m: MechanizedSCM, mech_solution: Setting) -> InducedSCM:
 class Distribution:
     """A finite table of ((Setting, probability), ...) atoms in canonical
     order.  ``n_samples`` is None for an exact table; otherwise the atoms are
-    the frequencies of that many forward samples drawn from ``seed``."""
+    the frequencies of that many forward samples drawn from ``seed``.
+    Exact tables are compared by aligning atoms: an atom pairs with its
+    equal atom when ``close_to`` confirms it, else with the first atom, in
+    canonical order, close to it (``abstraction._dist_distance``)."""
 
     atoms: tuple
     n_samples: Optional[int] = None
@@ -979,8 +994,19 @@ def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Dis
             key = tuple(values[v] for v in order)
             counts[key] = counts.get(key, 0) + 1
         paths = {key: c / n for key, c in counts.items()}
-    table = {Setting(dict(zip(order, values))): p for values, p in paths.items()}
-    return exact_distribution(table, n, None if n is None else seed)
+    # exact_distribution's order; every setting holds the same variables,
+    # so they are put in sort order once per table
+    ranked = sorted(range(len(order)), key=lambda i: order[i]._key)
+    rows = sorted(
+        (
+            (_items_key([(order[i], values[i]) for i in ranked]), values, p)
+            for values, p in paths.items()
+            if p > 0.0
+        ),
+        key=lambda row: row[0],
+    )
+    atoms = tuple((Setting(dict(zip(order, values))), p) for _, values, p in rows)
+    return Distribution(atoms, n, None if n is None else seed)
 
 
 def solution_distributions(

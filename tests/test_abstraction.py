@@ -2,6 +2,7 @@
 the non-emergence precondition checker."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +12,22 @@ import fuzzgen
 
 from mechscm.core import (
     EMPTY_SETTING,
+    FLOAT_TOL,
+    BernoulliAssign,
+    DeterministicSCM,
     Distribution,
     FiniteDomain,
+    MechanizedSCM,
+    ParameterizedSCM,
     Setting,
     exact_distribution,
     mech,
     obj,
+    solution_distributions,
 )
 from mechscm.abstraction import (
     AllOfDomains,
+    _dist_distance,
     Alignment,
     ExplicitSettings,
     InterventionMapping,
@@ -173,6 +181,100 @@ def test_dists_match_is_the_bottleneck_matching(case, tol):
     assert expected == (best <= tol, best)
     assert dists_match([set1[i] for i in perm_left], [set2[i] for i in perm_right], tol) == expected
     assert dists_match(set2, set1, tol) == expected
+
+
+def ref_dist_distance(d1, d2):
+    """The alignment by scan alone: every atom pairs with the first atom of
+    the other table, in canonical order, close to it."""
+    worst = 0.0
+    for s1, p1 in d1.atoms:
+        p2 = next((q for s2, q in d2.atoms if s1.close_to(s2)), 0.0)
+        worst = max(worst, abs(p1 - p2))
+    for s2, p2 in d2.atoms:
+        p1 = next((q for s1, q in d1.atoms if s2.close_to(s1)), 0.0)
+        worst = max(worst, abs(p2 - p1))
+    return worst
+
+
+# Values of every kind; the floats are 3 * FLOAT_TOL apart, so no two atoms
+# of one table are close unless they are equal.
+_ALIGN_VALUES = (
+    0, 1, 2, True, False, "a", "b", (0, 1), (1, 0.5), 0.5, 0.5 + 3 * FLOAT_TOL, 2.0
+)
+
+
+def _jitter(value, eps):
+    """Move every float and int of a value by eps, keeping bools and strs."""
+    if isinstance(value, tuple):
+        return tuple(_jitter(v, eps) for v in value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value + eps
+    return value
+
+
+_align_table = st.dictionaries(
+    st.tuples(st.sampled_from(_ALIGN_VALUES), st.sampled_from(_ALIGN_VALUES + (None,))),
+    st.integers(1, 5),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _table(weights, eps=0.0):
+    A, B = obj("A"), obj("B")
+    total = sum(weights.values())
+    table = {}
+    for (a, b), w in weights.items():
+        s = Setting({A: _jitter(a, eps)} if b is None else {A: _jitter(a, eps), B: _jitter(b, eps)})
+        table[s] = table.get(s, 0.0) + w / total
+    return exact_distribution(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_align_table, _align_table, st.sampled_from([0.0, 1e-12, -FLOAT_TOL / 4]))
+def test_dist_distance_matches_the_scan(left, right, eps):
+    # the right table's numbers sit within FLOAT_TOL / 4 of the grid, so an
+    # atom is close to at most one atom of the other table, equal or not
+    d1, d2 = _table(left), _table(right, eps)
+    assert _dist_distance(d1, d2) == ref_dist_distance(d1, d2)
+    assert _dist_distance(d2, d1) == ref_dist_distance(d2, d1)
+
+
+def test_dist_distance_fixed_cases():
+    A = obj("A")
+    # equal settings that are not close never pair
+    assert Setting({A: True}) == Setting({A: 1})
+    assert _dist_distance(_point(A, True), _point(A, 1)) == 1.0
+    # close settings that are not equal still pair
+    assert _dist_distance(_point(A, 0.5), _point(A, 0.5 + 1e-12)) == 0.0
+    # two distinct atoms within FLOAT_TOL: each pairs with its equal atom,
+    # where the scan paired both with the first close one, 0.5
+    twins = exact_distribution({Setting({A: 0.5}): 0.3, Setting({A: 0.5 + 1e-12}): 0.7})
+    assert _dist_distance(twins, twins) == 0.0
+    assert ref_dist_distance(twins, twins) == pytest.approx(0.4)
+
+
+def test_solution_distributions_dedupe_is_exact():
+    # Two mechanism solutions whose tables differ by 1e-12, far inside
+    # FLOAT_TOL.  The dedupe compares tables exactly, so both are kept, and
+    # a side with one of them fails on cardinality alone.
+    X, Y = obj("X"), obj("Y")
+    dom = FiniteDomain((0, 1))
+    copy = DeterministicSCM(
+        variables=(mech("X"), mech("Y")),
+        domains={mech("X"): dom, mech("Y"): dom},
+        assignments={mech("X"): lambda c: c[mech("Y")], mech("Y"): lambda c: c[mech("X")]},
+    )
+    coins = ParameterizedSCM(
+        variables=(X, Y),
+        parents={X: (), Y: ()},
+        domains={X: dom, Y: dom},
+        param_domains={X: dom, Y: dom},
+        assigns={X: BernoulliAssign(lambda th, pa: 0.5 + 1e-12 * th), Y: BernoulliAssign(lambda th, pa: 0.5)},
+    )
+    dists = solution_distributions(MechanizedSCM(copy, coins))
+    assert len(dists) == 2 and 0.0 < _dist_distance(*dists) <= 1e-11
+    assert dists_match(dists, dists[:1], tol=FLOAT_TOL) == (False, math.inf)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import fuzzgen
 from mechscm.abstraction import full_subset_suite, identity_maps
 from mechscm.examples import actor_critic_pair
+from mechscm.quotient import quotient_abstraction
 from mechscm.core import (
     EMPTY_SETTING,
     BernoulliAssign,
@@ -31,11 +33,14 @@ from mechscm.core import (
     SamplerAssign,
     Setting,
     Table,
+    canon_key,
     distribution,
+    exact_distribution,
     induce_scm,
     mech,
     obj,
     project,
+    setting_sort_key,
     solution_distributions,
     solution_set,
     solve_enumerate,
@@ -431,3 +436,107 @@ def test_solution_set_agrees_with_enumeration_on_fuzz_models(seed, index):
     _, _, w = identity_maps(low)
     for iv in full_subset_suite(w)[:30]:
         assert solution_set(low.mech_model, iv) == solve_enumerate(low.mech_model, iv)
+
+
+# ---------------------------------------------------------------------------
+# Sampled against exact
+
+
+SAMPLED_N = 2000
+SAMPLED_FAILURE = 1e-6
+
+
+def test_sampled_frequencies_within_binomial_bound_of_exact():
+    """A sampled frequency f of an atom with exact probability p is the mean
+    of SAMPLED_N Bernoulli(p) draws, so by Hoeffding's inequality
+    P(|f - p| > eps) <= 2 exp(-2 SAMPLED_N eps^2).  eps is chosen so that
+    the union bound over every atom checked gives a correct sampler at most
+    a SAMPLED_FAILURE chance, over seeds, of failing this test."""
+    tables = []
+    for index in range(8):
+        case = fuzzgen.random_case(5, index)
+        high = quotient_abstraction(case.low, case.groups)[0]
+        for model in (case.low, high):
+            sols = sorted(solution_set(model.mech_model), key=setting_sort_key)
+            for seed, sol in enumerate(sols[:2]):
+                scm = induce_scm(model, sol)
+                exact, sampled = distribution(scm), distribution(scm, n=SAMPLED_N, seed=seed)
+                tables.append((dict(exact.atoms), dict(sampled.atoms)))
+    n_atoms = sum(len(exact) for exact, _ in tables)
+    eps = math.sqrt(math.log(2 * n_atoms / SAMPLED_FAILURE) / (2 * SAMPLED_N))
+    assert len(tables) >= 16 and eps < 0.1
+    for exact, sampled in tables:
+        assert sampled.keys() <= exact.keys()  # no draw lands outside the support
+        assert all(abs(sampled.get(s, 0.0) - p) <= eps for s, p in exact.items())
+
+
+# ---------------------------------------------------------------------------
+# Canonical keys
+
+
+def ref_canon_key(value):
+    """canon_key as the isinstance chain alone, the reference for its
+    exact-type fast path."""
+    if isinstance(value, bool):
+        return ("b", value)
+    if isinstance(value, (int, float)):
+        return ("f", float(value))
+    if isinstance(value, str):
+        return ("s", value)
+    if isinstance(value, tuple):
+        return ("t", tuple(ref_canon_key(v) for v in value))
+    if isinstance(value, Table):
+        return ("T", ref_canon_key(value.keys), ref_canon_key(value.values))
+    return ("r", repr(value))
+
+
+_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.integers(-3, 3).map(np.int64),
+    st.floats(-2.0, 2.0).map(np.float64),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, min_size=1, max_size=3).map(lambda vs: Table(range(len(vs)), vs)),
+    ),
+    max_leaves=6,
+)
+_var_ids = st.builds(VarId, st.sampled_from(["A", "B", "S*", "V0"]), st.sampled_from(list(Layer)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_var_ids, _values, max_size=4))
+def test_setting_sort_key_is_the_reference_formula(assignments):
+    s = Setting(assignments)
+    items = sorted(s.items(), key=lambda kv: (kv[0].name, kv[0].layer.value))
+    assert setting_sort_key(s) == tuple((v.name, v.layer.value, ref_canon_key(x)) for v, x in items)
+    assert all(canon_key(x) == ref_canon_key(x) for x in s.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 199))
+def test_distribution_order_is_exact_distribution_order(seed, index):
+    # distribution orders the variables once per table; re-sorting its atoms
+    # through setting_sort_key, from the reversed order, must not move them
+    case = fuzzgen.random_case(seed, index)
+    high = quotient_abstraction(case.low, case.groups)[0]
+    for model in (case.low, high):  # int values, and the quotient's tuples
+        for sol in solution_set(model.mech_model):
+            d = distribution(induce_scm(model, sol))
+            assert exact_distribution(dict(reversed(d.atoms))).atoms == d.atoms
+
+
+def test_distribution_order_with_unsorted_variables():
+    # the actor-critic pair lists its variables out of name order, and its
+    # values are floats and tuples
+    pair = actor_critic_pair(grid_step=0.5)
+    for model in (pair.low, pair.high):
+        (sol,) = solution_set(model.mech_model)
+        d = distribution(induce_scm(model, sol))
+        assert [v for v, _ in d.atoms[0][0].sorted_items()] != list(model.object_vars)
+        assert exact_distribution(dict(reversed(d.atoms))).atoms == d.atoms
