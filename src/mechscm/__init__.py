@@ -10,8 +10,6 @@ from mechscm.core import (
     EMPTY_SETTING,
     EmptyDomain,
     FiniteDomain,
-    FiniteNoiseAssign,
-    FunctionTableDomain,
     IncompleteSolution,
     InducedSCM,
     KernelAssign,
@@ -31,12 +29,10 @@ from mechscm.core import (
     mech,
     noise,
     obj,
-    project,
     solution_distributions,
     solution_set,
     solve_acyclic,
     solve_enumerate,
-    solve_fixed_point,
     values_close,
 )
 

@@ -44,7 +44,6 @@ __all__ = [
     "DefinedDomain",
     "AllOfDomains",
     "ExplicitSettings",
-    "PredicateDomain",
     "OmegaVar",
     "InterventionMapping",
     "push_tau",
@@ -200,20 +199,6 @@ class ExplicitSettings(DefinedDomain):
 
 
 @dataclass(frozen=True)
-class PredicateDomain(DefinedDomain):
-    predicate: Callable[[Setting], bool]
-    sampler: Optional[Callable] = None
-
-    def contains(self, setting: Setting) -> bool:
-        return bool(self.predicate(setting))
-
-    def sample(self, rng) -> Setting:
-        if self.sampler is None:
-            raise NotImplementedError("predicate domain has no sampler")
-        return self.sampler(rng)
-
-
-@dataclass(frozen=True)
 class OmegaVar:
     """One per-high-mechanism-variable partial intervention map."""
 
@@ -228,19 +213,16 @@ class InterventionMapping:
     per_var: Mapping[VarId, OmegaVar]
 
 
-def push_omega(a: Optional[Alignment], w: InterventionMapping, low_intervention: Setting):
+def push_omega(a: Alignment, w: InterventionMapping, low_intervention: Setting):
     """Translate a low-level mechanism intervention covering whole collections
-    into the high-level intervention; OmegaUndefined when some collections's
-    setting falls outside the defined domain.  When an alignment is supplied,
-    each omega's collection must agree with the aligned mechanism groups."""
-    if a is not None:
-        for hv, ov in w.per_var.items():
-            if hv.paired(Layer.OBJECT) in a.groups and set(ov.low_vars) != set(
-                a.mech_collection(hv)
-            ):
-                raise ValueError(
-                    f"collection of {hv!r} disagrees with the alignment"
-                )
+    into the high-level intervention; OmegaUndefined when some collection's
+    setting falls outside the defined domain.  Each omega's collection must
+    agree with the aligned mechanism groups."""
+    for hv, ov in w.per_var.items():
+        if hv.paired(Layer.OBJECT) in a.groups and set(ov.low_vars) != set(
+            a.mech_collection(hv)
+        ):
+            raise ValueError(f"collection of {hv!r} disagrees with the alignment")
     remaining = set(low_intervention.vars)
     out = {}
     for high_var, ov in sorted(w.per_var.items(), key=lambda kv: kv[0].name):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -29,22 +30,18 @@ __all__ = [
     "Domain",
     "FiniteDomain",
     "RealBox",
-    "FunctionTableDomain",
     "Table",
     "Setting",
     "EMPTY_SETTING",
-    "project",
     "values_close",
     "canon_key",
     "DeterministicSCM",
     "solve_enumerate",
     "solve_acyclic",
-    "solve_fixed_point",
     "solution_set",
     "ObjectAssign",
     "DeterministicAssign",
     "BernoulliAssign",
-    "FiniteNoiseAssign",
     "KernelAssign",
     "SamplerAssign",
     "ParameterizedSCM",
@@ -213,7 +210,10 @@ def values_close(x, y, tol: float = FLOAT_TOL) -> bool:
 def canon_key(value):
     """A deterministic sort key over heterogeneous values.  Plain ints and
     floats are matched by exact type first; bool, np.float64 and the rest
-    take the isinstance chain, tuples first (no tuple is a bool, number or str)."""
+    take the isinstance chain, tuples first (no tuple is a bool, number or
+    str).  Every real number, np.int64 included, is keyed by its float value,
+    so equal numbers get one key and sort numerically; the slower abstract
+    ``numbers.Real`` check comes last, as no str or Table is a number."""
     if type(value) is int or type(value) is float:
         return ("f", float(value))
     if isinstance(value, tuple):
@@ -226,6 +226,8 @@ def canon_key(value):
         return ("s", value)
     if isinstance(value, Table):
         return ("T", canon_key(value.keys), canon_key(value.values))
+    if isinstance(value, numbers.Real):
+        return ("f", float(value))
     return ("r", repr(value))
 
 
@@ -316,30 +318,6 @@ class RealBox(Domain):
         return tuple(itertools.product(*axes))
 
 
-@dataclass(frozen=True)
-class FunctionTableDomain(Domain):
-    """Values are Tables over a fixed input grid with outputs in a codomain."""
-
-    inputs: tuple
-    codomain: Domain
-
-    def contains(self, value) -> bool:
-        return (
-            isinstance(value, Table)
-            and value.keys == self.inputs
-            and all(self.codomain.contains(v) for v in value.values)
-        )
-
-    @property
-    def is_enumerable(self) -> bool:
-        return self.codomain.is_enumerable
-
-    def enumerate(self) -> tuple:
-        outs = self.codomain.enumerate()
-        combos = itertools.product(outs, repeat=len(self.inputs))
-        return tuple(Table(self.inputs, combo) for combo in combos)
-
-
 # ---------------------------------------------------------------------------
 # Settings
 
@@ -417,11 +395,6 @@ class Setting(Mapping):
 
 
 EMPTY_SETTING = Setting()
-
-
-def project(s: Setting, targets: Iterable[VarId]) -> Setting:
-    """Keep exactly the tagged values of ``s`` whose owner is in ``targets``."""
-    return s.project(targets)
 
 
 def setting_sort_key(s: Setting):
@@ -578,76 +551,6 @@ class _Unresolved:
 _UNRESOLVED = _Unresolved()
 
 
-def _residual(domain: Domain, current, proposed) -> float:
-    if isinstance(domain, RealBox):
-        cur = (current,) if domain.dim == 1 else current
-        new = (proposed,) if domain.dim == 1 else proposed
-        return max(abs(float(a) - float(b)) for a, b in zip(cur, new))
-    return 0.0 if values_close(current, proposed) else 1.0
-
-
-def _damp(domain: Domain, current, proposed, damping: float):
-    if isinstance(domain, RealBox):
-        if domain.dim == 1:
-            return current + damping * (proposed - current)
-        return tuple(c + damping * (p - c) for c, p in zip(current, proposed))
-    return proposed
-
-
-def solve_fixed_point(
-    m: DeterministicSCM,
-    intervention: Setting = EMPTY_SETTING,
-    init: Setting = EMPTY_SETTING,
-    damping: float = 1.0,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
-) -> Setting:
-    """Damped synchronous (Jacobi) iteration.  Real-box variables move by
-    ``damping`` toward their assignment; all other variables jump.  Stops when
-    the undamped defect max-norm is at most ``tol``."""
-    _check_intervention(m, intervention)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    free = [v for v in m.variables if v not in intervention.vars]
-    state: dict = {v: intervention[v] for v in intervention.vars}
-    for v in free:
-        if v in init.vars:
-            state[v] = init[v]
-        else:
-            dom = m.domains[v]
-            if isinstance(dom, RealBox):
-                mid = tuple((l + u) / 2.0 for l, u in zip(dom.lower, dom.upper))
-                state[v] = mid[0] if dom.dim == 1 else mid
-            elif dom.is_enumerable:
-                state[v] = dom.enumerate()[0]
-            else:
-                raise NonFiniteDomain(f"no initial value for {v!r}")
-
-    if not free:
-        return Setting(state)
-
-    residual = math.inf
-    for iteration in range(max_iter):
-        proposals = {}
-        for v in free:
-            ctx = Setting({w: x for w, x in state.items() if w != v})
-            proposals[v] = m.assignments[v](ctx)
-        residual = max(_residual(m.domains[v], state[v], proposals[v]) for v in free)
-        if not math.isfinite(residual):
-            raise NoConvergence(
-                f"diverged after {iteration} iterations", residual, iteration
-            )
-        if residual <= tol:
-            return Setting(state)
-        for v in free:
-            state[v] = _damp(m.domains[v], state[v], proposals[v], damping)
-    raise NoConvergence(
-        f"no fixed point within {max_iter} iterations (residual {residual:.3g})",
-        residual,
-        max_iter,
-    )
-
-
 def solution_set(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) -> frozenset:
     """Solution set under an intervention: a registered analytic set if
     there is one, else the forward solver on declared acyclic structure, else
@@ -715,33 +618,6 @@ class BernoulliAssign(ObjectAssign):
     def sample(self, theta, parents, rng):
         p = float(self.p_fn(theta, parents))
         return self.hi if rng.random() < p else self.lo
-
-
-@dataclass(frozen=True)
-class FiniteNoiseAssign(ObjectAssign):
-    """General (parameter, parents, noise) -> value form with an explicit
-    finite noise distribution; exact inference sums the noise out."""
-
-    fn: Callable
-    noise_values: tuple
-    noise_probs: tuple
-
-    def __post_init__(self):
-        if abs(sum(self.noise_probs) - 1.0) > 1e-12:
-            raise ValueError("noise probabilities must sum to 1")
-
-    def kernel(self, theta, parents):
-        out: dict = {}
-        for eps, p in zip(self.noise_values, self.noise_probs):
-            if p == 0.0:
-                continue
-            v = self.fn(theta, parents, eps)
-            out[v] = out.get(v, 0.0) + p
-        return out
-
-    def sample(self, theta, parents, rng):
-        idx = rng.choice(len(self.noise_values), p=np.asarray(self.noise_probs))
-        return self.fn(theta, parents, self.noise_values[int(idx)])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from mechscm.core import (
     DeterministicSCM,
     Domain,
     FiniteDomain,
-    FunctionTableDomain,
     KernelAssign,
     MechanizedSCM,
     NonFiniteDomain,
@@ -29,7 +28,6 @@ from mechscm.core import (
     RealBox,
     Setting,
     Table,
-    VarId,
     mech,
     obj,
 )
@@ -81,12 +79,6 @@ def encode_domain(d: Domain):
             "upper": list(d.upper),
             "grid_step": d.grid_step,
         }
-    if isinstance(d, FunctionTableDomain):
-        return {
-            "kind": "function_table",
-            "inputs": [encode_value(v) for v in d.inputs],
-            "codomain": encode_domain(d.codomain),
-        }
     raise TypeError(f"domain {d!r} is not serializable")
 
 
@@ -96,10 +88,6 @@ def decode_domain(d):
         return FiniteDomain(tuple(decode_value(v) for v in d["values"]))
     if kind == "real_box":
         return RealBox(tuple(d["lower"]), tuple(d["upper"]), d["grid_step"])
-    if kind == "function_table":
-        return FunctionTableDomain(
-            tuple(decode_value(v) for v in d["inputs"]), decode_domain(d["codomain"])
-        )
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -191,9 +179,17 @@ def _canon(v) -> str:
 
 
 def model_from_dict(doc: Mapping) -> MechanizedSCM:
+    """Rebuild a model from its document; ValueError when the document is
+    not in this format or lacks a key the format requires."""
     if doc.get("format") != FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
+    try:
+        return _decode_model(doc)
+    except KeyError as err:
+        raise ValueError(f"model document lacks the key {err.args[0]!r}") from err
 
+
+def _decode_model(doc: Mapping) -> MechanizedSCM:
     ovars = [obj(e["name"]) for e in doc["variables"]]
     parents = {
         obj(e["name"]): tuple(obj(p) for p in e["parents"]) for e in doc["variables"]

@@ -53,6 +53,8 @@ def quotient_abstraction(
         raise ValueError("groups must partition the low-level object variables")
     if names is None:
         names = ["+".join(v.name for v in g) for g in groups]
+    elif len(names) != len(groups):
+        raise ValueError(f"got {len(names)} names for {len(groups)} groups")
 
     low_obj = low.obj_model
     low_mech = low.mech_model

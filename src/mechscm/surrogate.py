@@ -21,8 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from mechscm.abstraction import InterventionMapping, OmegaVar, PredicateDomain
-from mechscm.core import Setting, mech
 from mechscm.voting import (
     Intervention,
     Population,
@@ -57,7 +55,6 @@ __all__ = [
     "evaluate",
     "dictator_baseline",
     "stochastic_floor",
-    "omega_intervention_mapping",
 ]
 
 MECHANISMS = ("vcg", "median", "dictator")
@@ -471,6 +468,8 @@ def stochastic_floor(
         raise ValueError(
             f"n_interventions and n_redraws must be at least 1, got {n_interventions}, {n_redraws}"
         )
+    if not test_set.interventions:
+        raise ValueError("the test set holds no interventions")
     children = _seed_sequence(seed).spawn(n_interventions * n_redraws)
     total = 0.0
     for j in range(n_interventions):
@@ -533,43 +532,3 @@ def evaluate(
         mae_alpha=mae_alpha,
         stochastic_floor=floor,
     )
-
-
-# ---------------------------------------------------------------------------
-# The learned mapping as an intervention mapping
-
-
-def omega_intervention_mapping(pop: Population, net: OmegaNetwork, delta: DeltaEstimate):
-    """Package the trained network plus fixed delta estimates as a partial
-    intervention mapping from the per-citizen preference mechanisms to the
-    single country-level utility-parameter mechanism."""
-    citizen_vars = tuple(
-        mech(f"u_c{c}_i{i}")
-        for c in range(pop.n_countries)
-        for i in range(pop.sizes[c])
-    )
-    high_var = mech("U*")
-
-    def fn(setting: Setting):
-        lam = np.array([setting[v] for v in citizen_vars])
-        alpha_hat = forward(net, lam)
-        return (tuple(float(x) for x in alpha_hat), tuple(float(x) for x in delta.delta_hat))
-
-    def predicate(setting: Setting) -> bool:
-        try:
-            lam = np.array([setting[v] for v in citizen_vars])
-        except KeyError:
-            return False
-        return bool(np.all(lam >= 0.0) and np.all(lam <= 0.1 + 1e-12))
-
-    def sampler(rng):
-        lam = rng.uniform(0.0, 0.1, size=pop.total)
-        return Setting(dict(zip(citizen_vars, lam.tolist())))
-
-    omega_var = OmegaVar(
-        high_var=high_var,
-        low_vars=citizen_vars,
-        fn=fn,
-        defined=PredicateDomain(predicate, sampler),
-    )
-    return InterventionMapping({high_var: omega_var})

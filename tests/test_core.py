@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import numbers
 import os
 import pickle
 import subprocess
@@ -26,7 +27,6 @@ from mechscm.core import (
     KernelAssign,
     Layer,
     MechanizedSCM,
-    NoConvergence,
     NonFiniteDomain,
     ParameterizedSCM,
     RealBox,
@@ -39,12 +39,10 @@ from mechscm.core import (
     induce_scm,
     mech,
     obj,
-    project,
     setting_sort_key,
     solution_distributions,
     solution_set,
     solve_enumerate,
-    solve_fixed_point,
     VarId,
 )
 
@@ -76,9 +74,9 @@ def test_varid_hash_is_the_dataclass_hash():
 
 def test_projection_paper_example():
     s = Setting({X1: 4.0, X2: 5.0})
-    assert project(s, {X1}) == Setting({X1: 4.0})
-    assert project(Setting({X2: 5.0}), {X1}) == EMPTY_SETTING
-    assert project(EMPTY_SETTING, {X1}) == EMPTY_SETTING
+    assert s.project({X1}) == Setting({X1: 4.0})
+    assert Setting({X2: 5.0}).project({X1}) == EMPTY_SETTING
+    assert EMPTY_SETTING.project({X1}) == EMPTY_SETTING
 
 
 @given(
@@ -91,8 +89,8 @@ def test_projection_paper_example():
 )
 def test_projection_idempotent(assignments, targets):
     s = Setting(assignments)
-    once = project(s, targets)
-    assert project(once, targets) == once
+    once = s.project(targets)
+    assert once.project(targets) == once
     assert once.vars <= targets
 
 
@@ -146,7 +144,7 @@ def test_enumerate_intervention_fidelity():
     A, B = m.variables
     iv = Setting({A: 1})
     for s in solve_enumerate(m, iv):
-        assert project(s, {A}) == iv
+        assert s.project({A}) == iv
 
 
 def test_enumerate_non_finite_domain():
@@ -158,71 +156,6 @@ def test_enumerate_non_finite_domain():
     )
     with pytest.raises(NonFiniteDomain):
         solve_enumerate(m)
-
-
-# ---------------------------------------------------------------------------
-# solve_fixed_point
-
-
-def affine_cycle(a=0.5, b=0.5, c=1.0):
-    # x = a*y, y = b*x + c
-    x, y = mech("x"), mech("y")
-    box = RealBox((-10.0,), (10.0,), grid_step=None)
-    return DeterministicSCM(
-        variables=(x, y),
-        domains={x: box, y: box},
-        assignments={x: lambda s: a * s[y], y: lambda s: b * s[x] + c},
-    )
-
-
-def test_fixed_point_affine_cycle():
-    # oracle: solving the 2x2 system by hand gives x = 2/3, y = 4/3
-    m = affine_cycle()
-    x, y = m.variables
-    s = solve_fixed_point(m, init=Setting({x: 0.0, y: 0.0}), damping=1.0, tol=1e-10)
-    assert s[x] == pytest.approx(2.0 / 3.0, abs=1e-8)
-    assert s[y] == pytest.approx(4.0 / 3.0, abs=1e-8)
-
-
-def test_fixed_point_full_intervention_short_circuits():
-    m = affine_cycle()
-    x, y = m.variables
-    iv = Setting({x: 3.0, y: -1.0})
-    assert solve_fixed_point(m, intervention=iv, max_iter=0) == iv
-
-
-def test_fixed_point_divergent_cycle():
-    # spectral radius 4 > 1, so undamped Jacobi diverges
-    m = affine_cycle(a=2.0, b=2.0, c=1.0)
-    x, y = m.variables
-    with pytest.raises(NoConvergence) as exc:
-        solve_fixed_point(m, init=Setting({x: 1.0, y: 1.0}), damping=1.0, max_iter=200)
-    assert exc.value.residual > 1.0 or not math.isfinite(exc.value.residual)
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_fixed_point_success_lies_in_enumeration(seed):
-    # random functional tables over {0,1,2}^2; any fixed-point success must be
-    # a member of the brute-force solution set
-    import random
-
-    r = random.Random(seed)
-    A, B = mech("A"), mech("B")
-    dom = FiniteDomain((0, 1, 2))
-    fa = {b: r.choice((0, 1, 2)) for b in (0, 1, 2)}
-    fb = {a: r.choice((0, 1, 2)) for a in (0, 1, 2)}
-    m = DeterministicSCM(
-        variables=(A, B),
-        domains={A: dom, B: dom},
-        assignments={A: lambda c: fa[c[B]], B: lambda c: fb[c[A]]},
-    )
-    init = Setting({A: r.choice((0, 1, 2)), B: r.choice((0, 1, 2))})
-    try:
-        s = solve_fixed_point(m, init=init, tol=1e-12, max_iter=50)
-    except NoConvergence:
-        return
-    assert s in solve_enumerate(m)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +412,7 @@ def ref_canon_key(value):
     exact-type fast path."""
     if isinstance(value, bool):
         return ("b", value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         return ("f", float(value))
     if isinstance(value, str):
         return ("s", value)
@@ -516,6 +449,14 @@ def test_setting_sort_key_is_the_reference_formula(assignments):
     items = sorted(s.items(), key=lambda kv: (kv[0].name, kv[0].layer.value))
     assert setting_sort_key(s) == tuple((v.name, v.layer.value, ref_canon_key(x)) for v, x in items)
     assert all(canon_key(x) == ref_canon_key(x) for x in s.values())
+
+
+def test_canon_key_orders_numpy_integers_numerically():
+    A = obj("A")
+    table = {Setting({A: np.int64(v)}): 1 / 3 for v in (10, 2, 9)}
+    assert [s[A] for s, _ in exact_distribution(table).atoms] == [2, 9, 10]
+    assert canon_key(np.int64(1)) == canon_key(1) == canon_key(1.0)
+    assert setting_sort_key(Setting({A: np.int64(1)})) == setting_sort_key(Setting({A: 1}))
 
 
 @settings(max_examples=40, deadline=None)

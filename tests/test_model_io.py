@@ -66,6 +66,14 @@ def test_save_load_file(tmp_path):
     assert model_to_dict(reloaded) == model_to_dict(m)
 
 
+@pytest.mark.parametrize("key", ["variables", "domains", "mechanism_tables", "object_tables", "noise"])
+def test_malformed_document_names_missing_key(key):
+    doc = model_to_dict(shared_utility_pair("br").low)
+    del doc[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        model_from_dict(doc)
+
+
 def test_golden_file_schema_stable():
     """The checked-in document pins the exact key names and layout."""
     golden_path = GOLDEN / "shared_utility_br.json"

@@ -111,6 +111,14 @@ def test_quotient_rejects_sibling_reading_mechanisms():
         quotient_abstraction(bad, [(X, Z)])
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_quotient_rejects_names_not_matching_groups(extra):
+    case = fuzzgen.random_case(0, 3)
+    names = [f"G{i}" for i in range(len(case.groups) + extra)]
+    with pytest.raises(ValueError, match="names for"):
+        quotient_abstraction(case.low, case.groups, names)
+
+
 def test_nonemergence_fuzz_200_cases():
     start = time.perf_counter()
     failures = []

@@ -14,6 +14,7 @@ from mechscm.voting import (
 from mechscm.surrogate import (
     DegenerateDesign,
     DeltaEstimate,
+    GroundTruthSet,
     NonFinite,
     OmegaNetwork,
     TrainConfig,
@@ -25,7 +26,6 @@ from mechscm.surrogate import (
     loss_and_gradient,
     make_dataset,
     ne_q_hat,
-    omega_intervention_mapping,
     stochastic_floor,
     train,
 )
@@ -315,6 +315,13 @@ def test_stochastic_floor_rejects_empty_counts(counts):
         stochastic_floor(pop, test_set, seed=0, **counts)
 
 
+def test_stochastic_floor_rejects_empty_test_set():
+    pop = tiny_population()
+    empty = GroundTruthSet(interventions=(), q=np.zeros((0, pop.n_countries)))
+    with pytest.raises(ValueError, match="no interventions"):
+        stochastic_floor(pop, empty, seed=0)
+
+
 def test_dictator_baseline_rejects_no_draws():
     # zero draws would average to a NaN baseline, which evaluate would
     # report as baseline_mae = nan
@@ -333,19 +340,3 @@ def test_dictator_baseline_deterministic():
     b1 = dictator_baseline(pop, n_draws=100, seed=3)
     b2 = dictator_baseline(pop, n_draws=100, seed=3)
     assert np.array_equal(b1, b2)
-
-
-def test_omega_intervention_mapping_roundtrip():
-    from mechscm.abstraction import push_omega
-    from mechscm.core import Setting, mech
-
-    pop = tiny_population()
-    delta, res = fit(pop, "vcg", small_cfg())
-    mapping = omega_intervention_mapping(pop, res.net, delta)
-    ov = mapping.per_var[mech("U*")]
-    lam = np.linspace(0.0, 0.1, pop.total)
-    low_iv = Setting(dict(zip(ov.low_vars, lam.tolist())))
-    high = push_omega(None, mapping, low_iv)
-    alpha_hat, delta_hat = high[mech("U*")]
-    assert np.allclose(alpha_hat, forward(res.net, lam))
-    assert np.allclose(delta_hat, delta.delta_hat)
