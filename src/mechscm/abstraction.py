@@ -78,8 +78,9 @@ class PartialCollection(MechSCMError):
 @dataclass(frozen=True)
 class Alignment:
     """Maps each high-level object variable to a non-empty, pairwise disjoint
-    set of low-level object variables.  The mechanism-level alignment is
-    derived through the object/mechanism pairing."""
+    set of low-level object variables.  The mechanism-level alignment, by the
+    object/mechanism pairing, and the high variables' name order are derived
+    once, when the alignment is built."""
 
     groups: Mapping[VarId, frozenset]
 
@@ -93,17 +94,23 @@ class Alignment:
             if seen & lows:
                 raise ValueError("alignment images must be pairwise disjoint")
             seen |= set(lows)
+        by_name = lambda v: v.name
+        object.__setattr__(self, "_high_vars", tuple(sorted(self.groups, key=by_name)))
+        collections = {
+            high: tuple(sorted((v.paired(Layer.MECHANISM) for v in lows), key=by_name))
+            for high, lows in self.groups.items()
+        }
+        object.__setattr__(self, "_collections", collections)
 
     def group(self, high: VarId) -> frozenset:
         return self.groups[high]
 
     def mech_collection(self, high_mech: VarId) -> tuple:
-        lows = self.groups[high_mech.paired(Layer.OBJECT)]
-        return tuple(sorted((v.paired(Layer.MECHANISM) for v in lows), key=lambda v: v.name))
+        return self._collections[high_mech.paired(Layer.OBJECT)]
 
     @property
     def high_object_vars(self) -> tuple:
-        return tuple(sorted(self.groups, key=lambda v: v.name))
+        return self._high_vars
 
 
 @dataclass(frozen=True)
@@ -118,14 +125,14 @@ def push_tau(a: Alignment, t: ValueMapping, low_setting: Setting) -> Setting:
     """Translate a low-level object setting: one tau value per high-level
     variable, unioned.  Low-level variables outside every alignment image are
     marginalized away."""
+    present = low_setting._items.keys()
     out = {}
     for high in a.high_object_vars:
-        group = a.group(high)
-        missing = group - low_setting.vars
-        if missing:
-            raise MissingVariables(f"low setting lacks {sorted(missing, key=repr)}")
+        group = a.groups[high]
+        if not group <= present:
+            raise MissingVariables(f"low setting lacks {sorted(group - present, key=repr)}")
         out[high] = t.maps[high](low_setting.project(group))
-    return Setting(out)
+    return Setting._own(out)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ class AllOfDomains(DefinedDomain):
         return tuple(sorted(self.domains, key=lambda v: v.name))
 
     def contains(self, setting: Setting) -> bool:
-        return all(self.domains[v].contains(setting[v]) for v in setting.vars)
+        return all(self.domains[v].contains(x) for v, x in setting._items.items())
 
     def enumerate(self) -> tuple:
         vs = self._vars()
@@ -219,27 +226,27 @@ def push_omega(a: Alignment, w: InterventionMapping, low_intervention: Setting):
     setting falls outside the defined domain.  Each omega's collection must
     agree with the aligned mechanism groups."""
     for hv, ov in w.per_var.items():
-        if hv.paired(Layer.OBJECT) in a.groups and set(ov.low_vars) != set(
-            a.mech_collection(hv)
-        ):
+        collection = a._collections.get(hv.paired(Layer.OBJECT))
+        if collection is not None and set(ov.low_vars) != set(collection):
             raise ValueError(f"collection of {hv!r} disagrees with the alignment")
-    remaining = set(low_intervention.vars)
+    remaining = set(low_intervention._items)
     out = {}
     for high_var, ov in sorted(w.per_var.items(), key=lambda kv: kv[0].name):
-        covered = set(ov.low_vars) & low_intervention.vars
+        lows = set(ov.low_vars)
+        covered = lows.intersection(low_intervention._items)
         if not covered:
             continue
-        if covered != set(ov.low_vars):
+        if covered != lows:
             raise PartialCollection(
                 f"intervention covers only part of the collection for {high_var!r}"
             )
-        block = low_intervention.project(ov.low_vars)
+        block = low_intervention.project(lows)
         if not ov.defined.contains(block):
             return OmegaUndefined(
                 f"{high_var!r}: {block!r} outside omega's defined domain"
             )
         out[high_var] = ov.fn(block)
-        remaining -= set(ov.low_vars)
+        remaining -= lows
     if remaining:
         raise PartialCollection(
             f"intervention targets variables outside every collection: {sorted(remaining, key=repr)}"
@@ -425,11 +432,14 @@ def check_strong(
     """Surjectivity of each per-variable omega onto its high-level domain.
     With ``n=None`` both sides are enumerated (discretized for continuous
     domains); with ``n=k`` the image is that of ``k`` preimages sampled from
-    ``seed``, and coverage is the fraction of high values it hits."""
+    ``seed``, and coverage is the fraction of high values it hits.
+    ValueError when ``high_domains`` lacks a variable of ``w``."""
     check_sample_count(n)
     gaps: dict = {}
     coverage: dict = {}
     for high_var, ov in sorted(w.per_var.items(), key=lambda kv: kv[0].name):
+        if high_var not in high_domains:
+            raise ValueError(f"no high-level domain given for {high_var!r}")
         targets = high_domains[high_var].enumerate()
         if n is None:
             image = [ov.fn(s) for s in ov.defined.enumerate()]
@@ -527,7 +537,11 @@ def identity_maps(m: MechanizedSCM):
 
 def grid_suite(w: InterventionMapping, subset: Sequence[VarId]) -> tuple:
     """All low-level interventions on the union of the chosen high variables'
-    collections, enumerating each omega's defined domain."""
+    collections, enumerating each omega's defined domain.  ValueError when
+    ``w`` maps no chosen variable."""
+    for hv in subset:
+        if hv not in w.per_var:
+            raise ValueError(f"the intervention mapping has no omega for {hv!r}")
     blocks = [w.per_var[hv].defined.enumerate() for hv in subset]
     out = []
     for combo in itertools.product(*blocks):

@@ -112,13 +112,16 @@ class VarId:
     name: str
     layer: Layer
     # cached, not compared: the dataclass hash, hash((name, layer)), since
-    # Layer hashes in Python, and the order key that canonical tables sort by
+    # Layer hashes in Python; the order key that canonical tables sort by;
+    # and the paired variables on the other layers (see paired)
     _hash: int = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
+    _pairs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.name, self.layer)))
         object.__setattr__(self, "_key", (self.name, self.layer.value))
+        object.__setattr__(self, "_pairs", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -127,7 +130,15 @@ class VarId:
         return VarId, (self.name, self.layer)
 
     def paired(self, layer: Layer) -> "VarId":
-        return VarId(self.name, layer)
+        """The variable of the same name on ``layer``: this one on its own
+        layer, else one built on first request and cached, so pairing again
+        returns the identical object."""
+        if layer is self.layer:
+            return self
+        found = self._pairs.get(layer.value)
+        if found is None:
+            found = self._pairs[layer.value] = VarId(self.name, layer)
+        return found
 
     def __repr__(self) -> str:  # compact: A, ~A, eps(A)
         if self.layer is Layer.MECHANISM:
@@ -327,6 +338,9 @@ class Setting(Mapping):
 
     Because every value is keyed by its owning variable, a setting is
     faithfully a set of tagged values and projection is just key filtering.
+    The public constructor hashes the setting, so an unhashable value is
+    rejected there; settings the package builds from values it already holds
+    (``_own``) compute their hash, ``hash(frozenset(items))``, on first use.
     """
 
     __slots__ = ("_items", "_hash")
@@ -336,8 +350,20 @@ class Setting(Mapping):
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_hash", hash(frozenset(items.items())))
 
+    @classmethod
+    def _own(cls, items: dict) -> "Setting":
+        """A setting that takes ``items``, a dict the caller just built and
+        drops, without copying or hashing it."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_items", items)
+        object.__setattr__(s, "_hash", None)
+        return s
+
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Setting is immutable")
+
+    def __reduce__(self):  # rebuilt, so re-hashed, in the loading process
+        return Setting, (self._items,)
 
     # Mapping protocol
     def __getitem__(self, var: VarId):
@@ -349,7 +375,12 @@ class Setting(Mapping):
     def __len__(self) -> int:
         return len(self._items)
 
+    def __contains__(self, var) -> bool:
+        return var in self._items
+
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(frozenset(self._items.items())))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -361,7 +392,7 @@ class Setting(Mapping):
 
     def project(self, targets: Iterable[VarId]) -> "Setting":
         targets = set(targets)
-        return Setting({v: x for v, x in self._items.items() if v in targets})
+        return Setting._own({v: x for v, x in self._items.items() if v in targets})
 
     def drop(self, targets: Iterable[VarId]) -> "Setting":
         targets = set(targets)
@@ -455,9 +486,12 @@ class DeterministicSCM:
                 raise ValueError(f"missing domain or assignment for {v!r}")
         order = None if self.parents is None else _topological_order(self.variables, self.parents)
         object.__setattr__(self, "_order", order)
+        vs = tuple(self.variables)
+        object.__setattr__(self, "_others", {v: vs[:i] + vs[i + 1 :] for i, v in enumerate(vs)})
 
     def others(self, var: VarId) -> tuple:
-        return tuple(v for v in self.variables if v != var)
+        """The model's variables other than ``var``, in declaration order."""
+        return self._others[var]
 
     def topological_order(self) -> Optional[tuple]:
         """Topological order of the declared parent graph, or None if no
@@ -466,10 +500,10 @@ class DeterministicSCM:
 
 
 def _check_intervention(m: DeterministicSCM, intervention: Setting) -> None:
-    unknown = intervention.vars - set(m.variables)
+    unknown = intervention._items.keys() - m._others.keys()
     if unknown:
         raise ValueError(f"intervention targets unknown variables: {unknown}")
-    for v, x in intervention.items():
+    for v, x in intervention._items.items():
         if not m.domains[v].contains(x):
             raise ValueError(f"intervention value {x!r} is outside the domain of {v!r}")
 
@@ -492,7 +526,7 @@ def solve_enumerate(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) 
     enumerable domains.  A registered analytic solution set is not consulted
     here; ``solution_set`` does that."""
     _check_intervention(m, intervention)
-    free = [v for v in m.variables if v not in intervention.vars]
+    free = [v for v in m.variables if v not in intervention._items]
     for v in free:
         if not m.domains[v].is_enumerable:
             raise NonFiniteDomain(f"domain of {v!r} is not finite or discretized")
@@ -526,19 +560,20 @@ def solve_acyclic(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) ->
     order = m.topological_order()
     if order is None:
         raise MechSCMError("model has no declared acyclic dependency structure")
+    fixed = intervention._items
     values: dict = {}
     for v in order:
-        if v in intervention.vars:
-            values[v] = intervention[v]
+        if v in fixed:
+            values[v] = fixed[v]
         else:
             # Total function of all other variables; unresolved ones are only
             # allowed when the declared parents say they are irrelevant.
             ctx = dict(values)
-            for w in m.variables:
-                if w != v and w not in ctx:
+            for w in m.others(v):
+                if w not in ctx:
                     ctx[w] = _UNRESOLVED
-            values[v] = m.assignments[v](Setting({w: x for w, x in ctx.items() if w != v}))
-    return Setting(values)
+            values[v] = m.assignments[v](Setting._own(ctx))
+    return Setting._own(values)
 
 
 class _Unresolved:
@@ -663,7 +698,8 @@ class SamplerAssign(ObjectAssign):
 @dataclass(frozen=True)
 class ParameterizedSCM:
     """Acyclic object-level model whose structural assignments are indexed by
-    a parameter per variable."""
+    a parameter per variable; its topological order is derived, and ranked
+    by variable order key, once."""
 
     variables: tuple
     parents: Mapping[VarId, tuple]
@@ -676,6 +712,8 @@ class ParameterizedSCM:
         if order is None:
             raise ValueError("object-level graph must be acyclic")
         object.__setattr__(self, "_order", order)
+        ranked = sorted(range(len(order)), key=lambda i: order[i]._key)
+        object.__setattr__(self, "_ranked", tuple(ranked))
 
     @property
     def topological_order(self) -> tuple:
@@ -706,8 +744,8 @@ class InducedSCM:
 @dataclass(frozen=True)
 class MechanizedSCM:
     """The pair of a deterministic mechanism-layer model and a parameterized
-    object-level model, with name-paired variables and matching parameter
-    domains."""
+    object-level model, with name-paired variables (paired once, when the
+    model is built) and matching parameter domains."""
 
     mech_model: DeterministicSCM
     obj_model: ParameterizedSCM
@@ -720,9 +758,12 @@ class MechanizedSCM:
                 f"mechanism/object variables must pair one-to-one "
                 f"(got {sorted(mech_names)} vs {sorted(obj_names)})"
             )
-        for v in self.obj_model.variables:
-            if self.obj_model.param_domains[v] != self.mech_model.domains[v.paired(Layer.MECHANISM)]:
+        by_name = {v.name: v for v in self.mech_model.variables}
+        pairs = tuple((v, by_name[v.name]) for v in self.obj_model.variables)
+        for v, mv in pairs:
+            if self.obj_model.param_domains[v] != self.mech_model.domains[mv]:
                 raise ValueError(f"parameter domain of {v!r} must equal dom({v.name} mechanism)")
+        object.__setattr__(self, "_mech_pairs", pairs)
 
     @property
     def mech_vars(self) -> tuple:
@@ -732,9 +773,6 @@ class MechanizedSCM:
     def object_vars(self) -> tuple:
         return self.obj_model.variables
 
-    def mech_of(self, v: VarId) -> VarId:
-        return v.paired(Layer.MECHANISM)
-
     def obj_of(self, v: VarId) -> VarId:
         return v.paired(Layer.OBJECT)
 
@@ -742,17 +780,17 @@ class MechanizedSCM:
 def induce_scm(m: MechanizedSCM, mech_solution: Setting) -> InducedSCM:
     """Instantiate the object model at the parameters a mechanism solution
     assigns.  Every mechanism variable must be assigned."""
+    values = mech_solution._items
     theta = {}
     missing = []
-    for v in m.object_vars:
-        mv = m.mech_of(v)
-        if mv in mech_solution.vars:
-            theta[v] = mech_solution[mv]
+    for v, mv in m._mech_pairs:
+        if mv in values:
+            theta[v] = values[mv]
         else:
             missing.append(mv)
     if missing:
         raise IncompleteSolution(f"mechanism solution does not assign {missing}")
-    return m.obj_model.at(theta)
+    return InducedSCM(m.obj_model, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -871,8 +909,8 @@ def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Dis
             counts[key] = counts.get(key, 0) + 1
         paths = {key: c / n for key, c in counts.items()}
     # exact_distribution's order; every setting holds the same variables,
-    # so they are put in sort order once per table
-    ranked = sorted(range(len(order)), key=lambda i: order[i]._key)
+    # which the model ranked in sort order once
+    ranked = model._ranked
     rows = sorted(
         (
             (_items_key([(order[i], values[i]) for i in ranked]), values, p)
@@ -881,7 +919,7 @@ def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Dis
         ),
         key=lambda row: row[0],
     )
-    atoms = tuple((Setting(dict(zip(order, values))), p) for _, values, p in rows)
+    atoms = tuple((Setting._own(dict(zip(order, values))), p) for _, values, p in rows)
     return Distribution(atoms, n, None if n is None else seed)
 
 
@@ -904,13 +942,10 @@ def solution_distributions(
     what ``push`` forgets yield one distribution."""
     check_sample_count(n)
     sols = solution_set(m.mech_model, intervention)
-    dists = []
-    seen = set()
-    for s in sorted(sols, key=setting_sort_key):
-        d = distribution(induce_scm(m, s), n, seed)
-        if push is not None:
-            d = d.map_atoms(push)
-        if d not in seen:
-            seen.add(d)
-            dists.append(d)
-    return tuple(dists)
+    if len(sols) != 1:  # one solution needs neither the order nor the dedupe
+        sols = sorted(sols, key=setting_sort_key)
+    dists = (distribution(induce_scm(m, s), n, seed) for s in sols)
+    if push is not None:
+        dists = (d.map_atoms(push) for d in dists)
+    # a dict keeps the first of equal distributions, in solution order
+    return tuple(dists) if len(sols) == 1 else tuple(dict.fromkeys(dists))

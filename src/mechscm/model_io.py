@@ -180,7 +180,8 @@ def _canon(v) -> str:
 
 def model_from_dict(doc: Mapping) -> MechanizedSCM:
     """Rebuild a model from its document; ValueError when the document is
-    not in this format or lacks a key the format requires."""
+    not in this format, lacks a key the format requires, names a variable it
+    does not declare, or has an object table without entries."""
     if doc.get("format") != FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     try:
@@ -191,6 +192,13 @@ def model_from_dict(doc: Mapping) -> MechanizedSCM:
 
 def _decode_model(doc: Mapping) -> MechanizedSCM:
     ovars = [obj(e["name"]) for e in doc["variables"]]
+    names = {v.name for v in ovars}
+    refs = [(e["name"], "parents", p) for e in doc["variables"] for p in e["parents"]]
+    tables = doc["mechanism_tables"]
+    refs += [(n, "depends_on", d) for n, t in tables.items() for d in t["depends_on"]]
+    for owner, what, ref in refs:
+        if ref not in names:
+            raise ValueError(f"{what} of {owner!r}: unknown variable {ref!r}")
     parents = {
         obj(e["name"]): tuple(obj(p) for p in e["parents"]) for e in doc["variables"]
     }
@@ -201,8 +209,11 @@ def _decode_model(doc: Mapping) -> MechanizedSCM:
 
     assigns = {}
     for v in ovars:
+        entries = doc["object_tables"][v.name]["entries"]
+        if not entries:
+            raise ValueError(f"object table of {v.name!r} has no entries")
         table = {}
-        for theta_e, combo_e, dist_e in doc["object_tables"][v.name]["entries"]:
+        for theta_e, combo_e, dist_e in entries:
             theta = decode_value(theta_e)
             combo = tuple(decode_value(x) for x in combo_e)
             table[(_canon(theta), tuple(_canon(x) for x in combo))] = {

@@ -121,6 +121,23 @@ def test_push_omega_undefined_outside_domain(ac):
     assert isinstance(out, OmegaUndefined)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_per_model_derivations_are_the_definitional_ones(seed):
+    # the alignment's name order and collections, and a mechanism model's
+    # other variables, are derived once per model; each equals its definition
+    by_name = lambda v: v.name
+    for index in range(40):
+        case = fuzzgen.random_case(seed, index)
+        _, a, _, _ = quotient_abstraction(case.low, case.groups)
+        assert a.high_object_vars == tuple(sorted(a.groups, key=by_name))
+        for high, lows in a.groups.items():
+            expected = tuple(sorted((mech(v.name) for v in lows), key=by_name))
+            assert a.mech_collection(mech(high.name)) == expected
+        m = case.low.mech_model
+        for v in m.variables:
+            assert m.others(v) == tuple(w for w in m.variables if w != v)
+
+
 # ---------------------------------------------------------------------------
 # Distribution matching
 
@@ -465,6 +482,16 @@ def test_check_strong_sampled_mode(ac):
     high_domains = {v: ac.high.mech_model.domains[v] for v in ac.high.mech_vars}
     report = check_strong(ac.omega, high_domains, n=4000, seed=0)
     assert report.coverage[mech("A*")] == 1.0
+
+
+def test_check_strong_names_a_variable_without_domain(ac):
+    with pytest.raises(ValueError, match=r"~A\*"):
+        check_strong(ac.omega, {})
+
+
+def test_grid_suite_names_an_unmapped_variable(ac):
+    with pytest.raises(ValueError, match="~Nope"):
+        grid_suite(ac.omega, [mech("S*"), mech("Nope")])
 
 
 def test_sampling_checks_reject_empty_counts(ac):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzgen
-from mechscm.abstraction import full_subset_suite, identity_maps
+from mechscm.abstraction import full_subset_suite, identity_maps, push_omega, push_tau
 from mechscm.examples import actor_critic_pair
 from mechscm.quotient import quotient_abstraction
 from mechscm.core import (
@@ -42,6 +42,7 @@ from mechscm.core import (
     setting_sort_key,
     solution_distributions,
     solution_set,
+    solve_acyclic,
     solve_enumerate,
     VarId,
 )
@@ -66,6 +67,66 @@ def test_varid_hash_is_the_dataclass_hash():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
     loaded = pickle.loads(done.stdout)
     assert hash(loaded) == hash(("A", Layer.OBJECT)) and loaded in {obj("A")}
+
+
+def test_paired_is_cached_and_equal_to_a_fresh_varid():
+    a = obj("A")
+    m = a.paired(Layer.MECHANISM)
+    assert m is a.paired(Layer.MECHANISM) and a.paired(Layer.OBJECT) is a
+    assert m.paired(Layer.OBJECT) == a and m.paired(Layer.OBJECT) is m.paired(Layer.OBJECT)
+    fresh = VarId("A", Layer.MECHANISM)
+    assert m is not fresh and m == fresh and hash(m) == hash(fresh) and m._key == fresh._key
+
+
+def test_setting_hash_is_the_frozenset_hash_on_every_path():
+    # the public constructor hashes a setting at once, the package's own
+    # settings on first use; every path must give hash(frozenset(items))
+    contexts = []
+
+    def recorded(fn):
+        def assign(ctx):
+            contexts.append(ctx)
+            return fn(ctx)
+
+        return assign
+
+    pair = actor_critic_pair(grid_step=0.5)
+    mm = pair.low.mech_model
+    recording = DeterministicSCM(
+        mm.variables, mm.domains, {v: recorded(f) for v, f in mm.assignments.items()}, mm.parents
+    )
+    sol = solve_acyclic(recording, Setting({mech("S"): (0.5, 0.5)}))
+    atoms = [s for s, _ in distribution(induce_scm(pair.low, sol)).atoms]
+    cycle = DeterministicSCM(
+        variables=(X1, X2),
+        domains={X1: FiniteDomain((0, 1)), X2: FiniteDomain((0, 1))},
+        assignments={X1: lambda c: c[X2], X2: lambda c: c[X1]},
+    )
+    s = Setting({X1: 0, X2: (1, 2)})
+    made = [
+        s, s.project([X1]), s.drop([X1]), s.union({mech("X3"): 1}), s.set(X1, 1), EMPTY_SETTING,
+        sol, *contexts, *atoms, *(push_tau(pair.alignment, pair.tau, a) for a in atoms),
+        push_omega(pair.alignment, pair.omega, Setting({mech("S"): (0.5, 0.5)})),
+        *solve_enumerate(cycle),
+    ]
+    assert len(contexts) == 5  # one per variable that S's intervention leaves free
+    for x in made + [pickle.loads(pickle.dumps(x)) for x in made]:
+        assert hash(x) == hash(frozenset(x.items())) == hash(Setting(dict(x)))
+    # a setting pickled in a process with other str hashes is re-hashed here
+    code = (
+        "import pickle, sys; from mechscm.core import Setting, obj; "
+        "sys.stdout.buffer.write(pickle.dumps(Setting({obj('A'): 1, obj('B'): ('x', 2)})))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    loaded = pickle.loads(done.stdout)
+    assert hash(loaded) == hash(frozenset(loaded.items()))
+    assert loaded in {Setting({obj("A"): 1, obj("B"): ("x", 2)})}
+
+
+def test_setting_rejects_unhashable_values():
+    with pytest.raises(TypeError):
+        Setting({X1: [1]})
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +379,34 @@ def test_out_of_domain_intervention_value_rejected():
     high = actor_critic_pair().high
     with pytest.raises(ValueError, match="outside the domain"):
         solution_distributions(high, Setting({mech("A*"): 7}))
+
+
+def _solution_distributions_general(m, iv, push=None):
+    """solution_distributions without its one-solution shortcut: every
+    solution in canonical order, equal distributions kept once."""
+    out = []
+    for s in sorted(solution_set(m.mech_model, iv), key=setting_sort_key):
+        d = distribution(induce_scm(m, s))
+        d = d if push is None else d.map_atoms(push)
+        if d not in out:
+            out.append(d)
+    return tuple(out)
+
+
+def test_solution_distributions_equals_the_general_path():
+    counts = {True: 0, False: 0}  # by whether there is exactly one solution
+    for index in range(16):  # case 1 of seed 0 has some with 0 and 2
+        case = fuzzgen.random_case(0, index)
+        high, a, t, w = quotient_abstraction(case.low, case.groups)
+        tau = lambda s: push_tau(a, t, s)
+        for iv in full_subset_suite(w)[:12]:
+            high_iv = push_omega(a, w, iv)
+            for model, i, push in ((case.low, iv, None), (case.low, iv, tau), (high, high_iv, None)):
+                got = solution_distributions(model, i, push=push)
+                expected = _solution_distributions_general(model, i, push)
+                assert got == expected and list(map(hash, got)) == list(map(hash, expected))
+                counts[len(solution_set(model.mech_model, i)) == 1] += 1
+    assert counts[True] and counts[False]
 
 
 def test_solution_distributions_fully_intervened_is_single():

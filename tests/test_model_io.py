@@ -74,6 +74,36 @@ def test_malformed_document_names_missing_key(key):
         model_from_dict(doc)
 
 
+def _add_dependency(doc):
+    doc["mechanism_tables"]["D1"]["depends_on"].append("Nope")
+
+
+def _add_parent(doc):
+    next(e for e in doc["variables"] if e["name"] == "U")["parents"].append("Ghost")
+
+
+def _empty_table(doc):
+    doc["object_tables"]["U"]["entries"] = []
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_add_dependency, "'D1': unknown variable 'Nope'"),
+        (_add_parent, "'U': unknown variable 'Ghost'"),
+        (_empty_table, "'U' has no entries"),
+    ],
+    ids=["unknown-dependency", "unknown-parent", "empty-object-table"],
+)
+def test_inconsistent_tables_rejected_at_load(edit, message):
+    # each loaded without error before, then failed in solving with a bare
+    # KeyError
+    doc = model_to_dict(shared_utility_pair("br").low)
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        model_from_dict(doc)
+
+
 def test_golden_file_schema_stable():
     """The checked-in document pins the exact key names and layout."""
     golden_path = GOLDEN / "shared_utility_br.json"
