@@ -1,11 +1,13 @@
 """Variable alignments, value/intervention mappings, and abstraction checks.
 
-A high-level mechanized model abstracts a low-level one when, for every
-mapped mechanism intervention, the set of solution-induced low-level
-distributions pushed through the value mapping equals the set of high-level
-solution-induced distributions.  Strongness additionally requires each
-per-variable intervention mapping to be surjective onto the high-level
-domain.
+The ``Alignment`` alone says which low-level variables each high-level one
+stands for.  The value mapping tau is a plain mapping from each high-level
+object variable to a function of its group's setting; the intervention
+mapping omega, from each high-level mechanism variable to an ``OmegaVar`` on
+the alignment's ``mech_collection`` of it.  The high model abstracts the low
+one when, for every mapped mechanism intervention, the set of low-level
+solution distributions pushed through tau equals the set of high-level ones.
+Strongness also requires each omega to be onto its high-level domain.
 """
 
 from __future__ import annotations
@@ -39,13 +41,11 @@ __all__ = [
     "MissingVariables",
     "PartialCollection",
     "Alignment",
-    "ValueMapping",
     "OmegaUndefined",
     "DefinedDomain",
     "AllOfDomains",
     "ExplicitSettings",
     "OmegaVar",
-    "InterventionMapping",
     "push_tau",
     "push_omega",
     "InterventionEntry",
@@ -102,36 +102,36 @@ class Alignment:
         }
         object.__setattr__(self, "_collections", collections)
 
-    def group(self, high: VarId) -> frozenset:
-        return self.groups[high]
-
     def mech_collection(self, high_mech: VarId) -> tuple:
-        return self._collections[high_mech.paired(Layer.OBJECT)]
+        """``high_mech``'s aligned mechanism variables by name; ValueError if none."""
+        collection = self._collections.get(high_mech.paired(Layer.OBJECT))
+        if collection is None:
+            raise ValueError(f"the alignment has no group for {high_mech!r}")
+        return collection
 
     @property
     def high_object_vars(self) -> tuple:
         return self._high_vars
 
 
-@dataclass(frozen=True)
-class ValueMapping:
-    """Per high-level object variable, a total function from settings of its
-    aligned low-level variables to a high-level value."""
+def _tau_of(t: Mapping, high: VarId) -> Callable[[Setting], object]:
+    fn = t.get(high)
+    if fn is None:
+        raise ValueError(f"tau has no map for the aligned variable {high!r}")
+    return fn
 
-    maps: Mapping[VarId, Callable[[Setting], object]]
 
-
-def push_tau(a: Alignment, t: ValueMapping, low_setting: Setting) -> Setting:
+def push_tau(a: Alignment, t: Mapping, low_setting: Setting) -> Setting:
     """Translate a low-level object setting: one tau value per high-level
-    variable, unioned.  Low-level variables outside every alignment image are
-    marginalized away."""
+    variable, unioned (ValueError when ``t`` lacks one).  Low-level variables
+    outside every group are marginalized away."""
     present = low_setting._items.keys()
     out = {}
     for high in a.high_object_vars:
         group = a.groups[high]
         if not group <= present:
             raise MissingVariables(f"low setting lacks {sorted(group - present, key=repr)}")
-        out[high] = t.maps[high](low_setting.project(group))
+        out[high] = _tau_of(t, high)(low_setting.project(group))
     return Setting._own(out)
 
 
@@ -166,8 +166,8 @@ class DefinedDomain:
 
 @dataclass(frozen=True)
 class AllOfDomains(DefinedDomain):
-    """Total on the product of the collection's variable domains; enumerable
-    whenever those domains are finite or discretized."""
+    """The settings of exactly the collection's variables within their
+    domains; enumerable whenever those domains are finite or discretized."""
 
     domains: Mapping[VarId, Domain]
 
@@ -175,7 +175,8 @@ class AllOfDomains(DefinedDomain):
         return tuple(sorted(self.domains, key=lambda v: v.name))
 
     def contains(self, setting: Setting) -> bool:
-        return all(self.domains[v].contains(x) for v, x in setting._items.items())
+        items, dom = setting._items, self.domains
+        return items.keys() == dom.keys() and all(dom[v].contains(x) for v, x in items.items())
 
     def enumerate(self) -> tuple:
         vs = self._vars()
@@ -207,32 +208,22 @@ class ExplicitSettings(DefinedDomain):
 
 @dataclass(frozen=True)
 class OmegaVar:
-    """One per-high-mechanism-variable partial intervention map."""
+    """One high-level mechanism variable's partial intervention map, from
+    settings of its collection (see ``Alignment.mech_collection``)."""
 
-    high_var: VarId
-    low_vars: tuple
     fn: Callable[[Setting], object]
     defined: DefinedDomain
 
 
-@dataclass(frozen=True)
-class InterventionMapping:
-    per_var: Mapping[VarId, OmegaVar]
-
-
-def push_omega(a: Alignment, w: InterventionMapping, low_intervention: Setting):
+def push_omega(a: Alignment, w: Mapping[VarId, OmegaVar], low_intervention: Setting):
     """Translate a low-level mechanism intervention covering whole collections
     into the high-level intervention; OmegaUndefined when some collection's
-    setting falls outside the defined domain.  Each omega's collection must
-    agree with the aligned mechanism groups."""
-    for hv, ov in w.per_var.items():
-        collection = a._collections.get(hv.paired(Layer.OBJECT))
-        if collection is not None and set(ov.low_vars) != set(collection):
-            raise ValueError(f"collection of {hv!r} disagrees with the alignment")
+    setting falls outside the defined domain.  Each collection is the
+    alignment's ``mech_collection`` (ValueError when it has none)."""
     remaining = set(low_intervention._items)
     out = {}
-    for high_var, ov in sorted(w.per_var.items(), key=lambda kv: kv[0].name):
-        lows = set(ov.low_vars)
+    for high_var, ov in sorted(w.items(), key=lambda kv: kv[0].name):
+        lows = set(a.mech_collection(high_var))
         covered = lows.intersection(low_intervention._items)
         if not covered:
             continue
@@ -375,8 +366,8 @@ def check_abstraction(
     low: MechanizedSCM,
     high: MechanizedSCM,
     a: Alignment,
-    t: ValueMapping,
-    w: InterventionMapping,
+    t: Mapping[VarId, Callable[[Setting], object]],
+    w: Mapping[VarId, OmegaVar],
     suite: Iterable[Setting],
     tol: float = 1e-9,
     *,
@@ -388,7 +379,8 @@ def check_abstraction(
     equal, as a set, the high-level solution distributions under the mapped
     intervention.  With ``n=None`` both sides are exact tables, matched by
     sup-norm; with ``n=k`` both are frequencies of ``k`` samples drawn from
-    ``seed``, matched by total variation."""
+    ``seed``, matched by total variation.  ValueError when tau lacks an
+    aligned variable or omega maps one the alignment lacks."""
     check_sample_count(n)
     tau = lambda s: push_tau(a, t, s)
     entries = []
@@ -424,7 +416,7 @@ class StrongReport:
 
 
 def check_strong(
-    w: InterventionMapping,
+    w: Mapping[VarId, OmegaVar],
     high_domains: Mapping[VarId, Domain],
     n: Optional[int] = None,
     seed: int = 0,
@@ -437,7 +429,7 @@ def check_strong(
     check_sample_count(n)
     gaps: dict = {}
     coverage: dict = {}
-    for high_var, ov in sorted(w.per_var.items(), key=lambda kv: kv[0].name):
+    for high_var, ov in sorted(w.items(), key=lambda kv: kv[0].name):
         if high_var not in high_domains:
             raise ValueError(f"no high-level domain given for {high_var!r}")
         targets = high_domains[high_var].enumerate()
@@ -475,41 +467,41 @@ def prop1_preconditions(
     low: MechanizedSCM,
     high: MechanizedSCM,
     a: Alignment,
-    t: ValueMapping,
-    w: InterventionMapping,
+    t: Mapping[VarId, Callable[[Setting], object]],
+    w: Mapping[VarId, OmegaVar],
     target: VarId,
 ) -> Prop1Report:
     """Check, by enumeration, (i) injectivity of tau restricted to the
     parents of the target's object variable and (ii) that every low-level
-    mechanism node aligned with the target has an independent mechanism."""
+    mechanism node aligned with the target has an independent mechanism.
+    ValueError when the alignment lacks the target or a parent, or tau a parent."""
     if target.layer is not Layer.MECHANISM:
         raise ValueError("target must be a high-level mechanism variable")
     check_target(high.mech_model, target)
-    target_obj = target.paired(Layer.OBJECT)
-    parents = high.obj_model.parents.get(target_obj, ())
+    collection = a.mech_collection(target)
+    parents = high.obj_model.parents.get(target.paired(Layer.OBJECT), ())
 
     injective = True
     if parents:
+        taus = [_tau_of(t, p) for p in parents]
         per_parent_inputs = []
         for p in parents:
-            group = tuple(sorted(a.group(p), key=lambda v: v.name))
+            lows = a.mech_collection(p.paired(Layer.MECHANISM))  # p's group, by name
+            group = tuple(v.paired(Layer.OBJECT) for v in lows)
             grids = [low.obj_model.domains[v].enumerate() for v in group]
             per_parent_inputs.append(
                 [Setting(dict(zip(group, combo))) for combo in itertools.product(*grids)]
             )
         seen: dict = {}
         for combo in itertools.product(*per_parent_inputs):
-            image = tuple(t.maps[p](s) for p, s in zip(parents, combo))
+            image = tuple(tau(s) for tau, s in zip(taus, combo))
             key = canon_key(image)
             if key in seen and seen[key] != tuple(combo):
                 injective = False
                 break
             seen[key] = tuple(combo)
 
-    independent = all(
-        has_independent_mechanism(low.mech_model, v)
-        for v in a.mech_collection(target)
-    )
+    independent = all(has_independent_mechanism(low.mech_model, v) for v in collection)
     return Prop1Report(injective, independent)
 
 
@@ -520,29 +512,22 @@ def prop1_preconditions(
 def identity_maps(m: MechanizedSCM):
     """Identity alignment, value mapping, and intervention mapping of a model
     onto itself (singleton groups, total omega)."""
-    groups = {v: frozenset([v]) for v in m.object_vars}
-    a = Alignment(groups)
-    t = ValueMapping({v: (lambda s, _v=v: s[_v]) for v in m.object_vars})
-    per_var = {}
-    for v in m.object_vars:
-        mv = v.paired(Layer.MECHANISM)
-        per_var[mv] = OmegaVar(
-            high_var=mv,
-            low_vars=(mv,),
-            fn=lambda s, _mv=mv: s[_mv],
-            defined=AllOfDomains({mv: m.mech_model.domains[mv]}),
-        )
-    return a, t, InterventionMapping(per_var)
+    t = {v: (lambda s, _v=v: s[_v]) for v in m.object_vars}
+    w = {
+        mv: OmegaVar(lambda s, _mv=mv: s[_mv], AllOfDomains({mv: m.mech_model.domains[mv]}))
+        for mv in m.mech_vars
+    }
+    return Alignment({v: frozenset([v]) for v in m.object_vars}), t, w
 
 
-def grid_suite(w: InterventionMapping, subset: Sequence[VarId]) -> tuple:
+def grid_suite(w: Mapping[VarId, OmegaVar], subset: Sequence[VarId]) -> tuple:
     """All low-level interventions on the union of the chosen high variables'
     collections, enumerating each omega's defined domain.  ValueError when
     ``w`` maps no chosen variable."""
     for hv in subset:
-        if hv not in w.per_var:
+        if hv not in w:
             raise ValueError(f"the intervention mapping has no omega for {hv!r}")
-    blocks = [w.per_var[hv].defined.enumerate() for hv in subset]
+    blocks = [w[hv].defined.enumerate() for hv in subset]
     out = []
     for combo in itertools.product(*blocks):
         merged = EMPTY_SETTING
@@ -552,11 +537,11 @@ def grid_suite(w: InterventionMapping, subset: Sequence[VarId]) -> tuple:
     return tuple(out)
 
 
-def full_subset_suite(w: InterventionMapping, include_empty: bool = True) -> tuple:
+def full_subset_suite(w: Mapping[VarId, OmegaVar], include_empty: bool = True) -> tuple:
     """Interventions for every subset of high-level mechanism variables times
     the grid over omega's defined domains.  Exhaustive only after
     discretization; intended for small models."""
-    high_vars = sorted(w.per_var, key=lambda v: v.name)
+    high_vars = sorted(w, key=lambda v: v.name)
     out = []
     sizes = range(0 if include_empty else 1, len(high_vars) + 1)
     for k in sizes:

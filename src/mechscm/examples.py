@@ -8,7 +8,7 @@ Each constructor documents which claimed properties the tests verify."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from mechscm.core import (
     BernoulliAssign,
@@ -24,13 +24,7 @@ from mechscm.core import (
     mech,
     obj,
 )
-from mechscm.abstraction import (
-    Alignment,
-    AllOfDomains,
-    InterventionMapping,
-    OmegaVar,
-    ValueMapping,
-)
+from mechscm.abstraction import Alignment, AllOfDomains, OmegaVar
 from mechscm.rationality import (
     BeliefModel,
     UtilityFn,
@@ -50,11 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AbstractionPair:
+    """A low model, its abstraction, and the maps: plain tau and omega
+    mappings per high variable, whose groups the alignment states."""
+
     low: MechanizedSCM
     high: MechanizedSCM
     alignment: Alignment
-    tau: ValueMapping
-    omega: InterventionMapping
+    tau: Mapping[VarId, Callable[[Setting], object]]
+    omega: Mapping[VarId, OmegaVar]
 
 
 def _first_best_response(model_ref: dict, target: VarId, ctx: Setting, u: UtilityFn):
@@ -291,16 +288,12 @@ def actor_critic_pair(
     high = MechanizedSCM(high_mech, high_obj)
 
     alignment = Alignment({As: frozenset([A]), Ss: frozenset([S]), Rs: frozenset([R])})
-    tau = ValueMapping(
-        {As: lambda st: st[A], Ss: lambda st: st[S], Rs: lambda st: st[R]}
-    )
-    omega = InterventionMapping(
-        {
-            TAs: OmegaVar(TAs, (TA,), lambda st: st[TA], AllOfDomains({TA: binary})),
-            TSs: OmegaVar(TSs, (TS,), lambda st: st[TS], AllOfDomains({TS: pair_box})),
-            TRs: OmegaVar(TRs, (TR,), lambda st: st[TR], AllOfDomains({TR: pair_box})),
-        }
-    )
+    tau = {As: lambda st: st[A], Ss: lambda st: st[S], Rs: lambda st: st[R]}
+    omega = {
+        TAs: OmegaVar(lambda st: st[TA], AllOfDomains({TA: binary})),
+        TSs: OmegaVar(lambda st: st[TS], AllOfDomains({TS: pair_box})),
+        TRs: OmegaVar(lambda st: st[TR], AllOfDomains({TR: pair_box})),
+    }
     return AbstractionPair(low, high, alignment, tau, omega)
 
 
@@ -410,16 +403,9 @@ def shared_utility_pair(rationality: str = "br") -> AbstractionPair:
     high_ref["model"] = high
 
     alignment = Alignment({Ds: frozenset([D1, D2]), Us: frozenset([U])})
-    tau = ValueMapping({Ds: lambda st: (st[D1], st[D2]), Us: lambda st: st[U]})
-    omega = InterventionMapping(
-        {
-            TDs: OmegaVar(
-                TDs,
-                (TD1, TD2),
-                lambda st: (st[TD1], st[TD2]),
-                AllOfDomains({TD1: binary, TD2: binary}),
-            ),
-            TUs: OmegaVar(TUs, (TU,), lambda st: st[TU], AllOfDomains({TU: table_dom})),
-        }
-    )
+    tau = {Ds: lambda st: (st[D1], st[D2]), Us: lambda st: st[U]}
+    omega = {
+        TDs: OmegaVar(lambda st: (st[TD1], st[TD2]), AllOfDomains({TD1: binary, TD2: binary})),
+        TUs: OmegaVar(lambda st: st[TU], AllOfDomains({TU: table_dom})),
+    }
     return AbstractionPair(low, high, alignment, tau, omega)

@@ -23,7 +23,7 @@ Artifacts written to the output directory (every CSV number is written as
 
 The configuration sets the population, the data sizes and the training
 only.  Every median equilibrium (delta probes, data, warm start and
-baseline alike) is solved at ``voting.median_ne``'s own settings.
+baseline alike) is solved by ``voting.median_block`` at its defaults.
 """
 
 from __future__ import annotations

@@ -7,12 +7,15 @@ grouping whose quotient graph is acyclic, and mechanism assignments that do
 not read their own group's siblings (their declared parents must avoid the
 block).  The result is a strong abstraction by construction, which makes it
 a convenient harness for exercising the checkers on arbitrary models.
+A group samples by running its members' own assignments along its chain, so
+quotients of continuous-noise models sample too (exact mode still raises).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from mechscm.core import (
     DeterministicSCM,
@@ -27,15 +30,19 @@ from mechscm.core import (
     mech,
     obj,
 )
-from mechscm.abstraction import (
-    Alignment,
-    AllOfDomains,
-    InterventionMapping,
-    OmegaVar,
-    ValueMapping,
-)
+from mechscm.abstraction import Alignment, AllOfDomains, OmegaVar
 
 __all__ = ["quotient_abstraction"]
+
+
+@dataclass(frozen=True)
+class _GroupAssign(KernelAssign):
+    """Exact by the group kernel, sampled by ``sampler``."""
+
+    sampler: Callable
+
+    def sample(self, theta, parents, rng):
+        return self.sampler(theta, parents, rng)
 
 
 def quotient_abstraction(
@@ -80,7 +87,7 @@ def quotient_abstraction(
 
     param_domains = [group_domain(low_obj.param_domains, g) for g in groups]
 
-    def make_group_kernel(gi: int):
+    def make_group_assign(gi: int) -> _GroupAssign:
         g = groups[gi]
         chain = sorted(g, key=lambda v: topo_pos[v])
         slot = {v: i for i, v in enumerate(g)}
@@ -90,24 +97,33 @@ def quotient_abstraction(
             for i, v in enumerate(groups[high_objs.index(hp)]):
                 member_slot_in_parent[v] = (hp, i)
 
+        outside = lambda pa: {p: pa[hp][i] for p, (hp, i) in member_slot_in_parent.items()}
+
         def kernel(theta, pa: Mapping[VarId, tuple]) -> dict:
-            outside = {p: pa[hp][i] for p, (hp, i) in member_slot_in_parent.items()}
             paths = _forward_paths(
                 chain,
                 low_obj.parents,
                 lambda v, pvals: low_obj.assigns[v].kernel(theta[slot[v]], pvals),
-                outside,
+                outside(pa),
             )
             return {tuple(values[i] for i in in_chain): p for values, p in paths.items()}
 
-        return kernel
+        def sampler(theta, pa: Mapping[VarId, tuple], rng) -> tuple:
+            # in low topological order, so the rng is drawn as the low model draws it
+            values = outside(pa)
+            for v in chain:
+                pvals = {w: values[w] for w in low_obj.parents.get(v, ())}
+                values[v] = low_obj.assigns[v].sample(theta[slot[v]], pvals, rng)
+            return tuple(values[v] for v in g)
+
+        return _GroupAssign(kernel, sampler)
 
     high_obj_model = ParameterizedSCM(
         variables=tuple(high_objs),
         parents=high_parents,
         domains={high_objs[gi]: group_domain(low_obj.domains, g) for gi, g in enumerate(groups)},
         param_domains=dict(zip(high_objs, param_domains)),
-        assigns={high_objs[gi]: KernelAssign(make_group_kernel(gi)) for gi in range(len(groups))},
+        assigns={high_objs[gi]: make_group_assign(gi) for gi in range(len(groups))},
     )
 
     mech_groups = [tuple(v.paired(Layer.MECHANISM) for v in g) for g in groups]
@@ -164,24 +180,16 @@ def quotient_abstraction(
     )
     high = MechanizedSCM(high_mech_model, high_obj_model)
 
-    alignment = Alignment(
-        {high_objs[gi]: frozenset(g) for gi, g in enumerate(groups)}
-    )
-    tau = ValueMapping(
-        {
-            high_objs[gi]: (lambda st, _g=groups[gi]: tuple(st[v] for v in _g))
-            for gi in range(len(groups))
-        }
-    )
-    omega = InterventionMapping(
-        {
-            high_mechs[gi]: OmegaVar(
-                high_mechs[gi],
-                mech_groups[gi],
-                (lambda st, _mg=mech_groups[gi]: tuple(st[v] for v in _mg)),
-                AllOfDomains({v: low_mech.domains[v] for v in mech_groups[gi]}),
-            )
-            for gi in range(len(groups))
-        }
-    )
+    alignment = Alignment({high_objs[gi]: frozenset(g) for gi, g in enumerate(groups)})
+    tau = {
+        high_objs[gi]: (lambda st, _g=groups[gi]: tuple(st[v] for v in _g))
+        for gi in range(len(groups))
+    }
+    omega = {
+        high_mechs[gi]: OmegaVar(
+            lambda st, _mg=mech_groups[gi]: tuple(st[v] for v in _mg),
+            AllOfDomains({v: low_mech.domains[v] for v in mech_groups[gi]}),
+        )
+        for gi in range(len(groups))
+    }
     return high, alignment, tau, omega

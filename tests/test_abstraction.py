@@ -30,12 +30,10 @@ from mechscm.abstraction import (
     _dist_distance,
     Alignment,
     ExplicitSettings,
-    InterventionMapping,
     MissingVariables,
     OmegaUndefined,
     OmegaVar,
     PartialCollection,
-    ValueMapping,
     check_abstraction,
     check_strong,
     dists_match,
@@ -107,18 +105,55 @@ def test_push_omega_uncollected_variable(ac):
 
 
 def test_push_omega_undefined_outside_domain(ac):
-    restricted = InterventionMapping(
-        {
-            mech("S*"): OmegaVar(
-                mech("S*"),
-                (mech("S"),),
-                lambda st: st[mech("S")],
-                ExplicitSettings((Setting({mech("S"): (0.0, 0.0)}),)),
-            )
-        }
-    )
+    restricted = {
+        mech("S*"): OmegaVar(
+            lambda st: st[mech("S")],
+            ExplicitSettings((Setting({mech("S"): (0.0, 0.0)}),)),
+        )
+    }
     out = push_omega(ac.alignment, restricted, Setting({mech("S"): (0.5, 0.5)}))
     assert isinstance(out, OmegaUndefined)
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+_LOW_ASR = Setting({obj("A"): 1, obj("S"): 0, obj("R"): 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, t, a: push_tau(p.alignment, t, _LOW_ASR), r" S\*$"),
+        (
+            lambda p, t, a: check_abstraction(p.low, p.high, p.alignment, t, p.omega, [EMPTY_SETTING]),
+            r" S\*$",
+        ),
+        (lambda p, t, a: prop1_preconditions(p.low, p.high, a, p.tau, p.omega, mech("S*")), r"~S\*$"),
+        (lambda p, t, a: prop1_preconditions(p.low, p.high, a, p.tau, p.omega, mech("R*")), r"~S\*$"),
+        (lambda p, t, a: prop1_preconditions(p.low, p.high, p.alignment, t, p.omega, mech("R*")), r" S\*$"),
+        (lambda p, t, a: push_omega(a, p.omega, EMPTY_SETTING), r"~S\*$"),
+    ],
+    ids=["push_tau", "check_abstraction", "prop1-target", "prop1-parent", "prop1-tau", "push_omega"],
+)
+def test_maps_out_of_step_with_the_alignment_name_the_variable(ac, call, message):
+    # t: tau without S*; a: the alignment without S*'s group
+    t = _without(ac.tau, obj("S*"))
+    a = Alignment(_without(ac.alignment.groups, obj("S*")))
+    with pytest.raises(ValueError, match=message):
+        call(ac, t, a)
+
+
+def test_all_of_domains_contains_exactly_its_settings():
+    z1, z2 = mech("z1"), mech("z2")
+    binary = FiniteDomain((0, 1))
+    both = AllOfDomains({z1: binary, z2: binary})
+    assert all(both.contains(s) for s in both.enumerate())
+    assert not both.contains(Setting({z1: 0, z2: 5}))
+    assert not both.contains(Setting({z1: 0}))
+    assert not both.contains(EMPTY_SETTING)
+    assert not AllOfDomains({z1: binary}).contains(Setting({z1: 0, z2: 5}))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -338,34 +373,28 @@ def test_observational_consistency_included(ac):
 
 def test_actor_critic_coarse_suite(ac):
     suite = grid_suite(
-        InterventionMapping(
-            {
-                mech("S*"): OmegaVar(
-                    mech("S*"),
-                    (mech("S"),),
-                    lambda st: st[mech("S")],
-                    ExplicitSettings(
-                        tuple(
-                            Setting({mech("S"): (a, b)})
-                            for a in (0.0, 0.5, 1.0)
-                            for b in (0.0, 0.5, 1.0)
-                        )
-                    ),
+        {
+            mech("S*"): OmegaVar(
+                lambda st: st[mech("S")],
+                ExplicitSettings(
+                    tuple(
+                        Setting({mech("S"): (a, b)})
+                        for a in (0.0, 0.5, 1.0)
+                        for b in (0.0, 0.5, 1.0)
+                    )
                 ),
-                mech("R*"): OmegaVar(
-                    mech("R*"),
-                    (mech("R"),),
-                    lambda st: st[mech("R")],
-                    ExplicitSettings(
-                        tuple(
-                            Setting({mech("R"): (a, b)})
-                            for a in (0.0, 0.5, 1.0)
-                            for b in (0.0, 0.5, 1.0)
-                        )
-                    ),
+            ),
+            mech("R*"): OmegaVar(
+                lambda st: st[mech("R")],
+                ExplicitSettings(
+                    tuple(
+                        Setting({mech("R"): (a, b)})
+                        for a in (0.0, 0.5, 1.0)
+                        for b in (0.0, 0.5, 1.0)
+                    )
                 ),
-            }
-        ),
+            ),
+        },
         [mech("R*"), mech("S*")],
     )
     assert len(suite) == 81
@@ -443,20 +472,16 @@ def test_check_strong_actor_critic(ac):
 
 def test_check_strong_gap_witnessed(ac):
     pair_box = ac.high.mech_model.domains[mech("S*")]
-    restricted = InterventionMapping(
-        {
-            mech("S*"): OmegaVar(
-                mech("S*"),
-                (mech("S"),),
-                lambda st: st[mech("S")],
-                ExplicitSettings(
-                    tuple(
-                        Setting({mech("S"): (0.0, round(b * 0.1, 12))}) for b in range(11)
-                    )
-                ),
-            )
-        }
-    )
+    restricted = {
+        mech("S*"): OmegaVar(
+            lambda st: st[mech("S")],
+            ExplicitSettings(
+                tuple(
+                    Setting({mech("S"): (0.0, round(b * 0.1, 12))}) for b in range(11)
+                )
+            ),
+        )
+    }
     report = check_strong(restricted, {mech("S*"): pair_box})
     assert not report.ok
     gaps = report.gaps[mech("S*")]
@@ -464,16 +489,12 @@ def test_check_strong_gap_witnessed(ac):
 
 
 def test_check_strong_constant_onto_singleton():
-    w = InterventionMapping(
-        {
-            mech("Z"): OmegaVar(
-                mech("Z"),
-                (mech("z1"),),
-                lambda st: "only",
-                AllOfDomains({mech("z1"): FiniteDomain((0, 1))}),
-            )
-        }
-    )
+    w = {
+        mech("Z"): OmegaVar(
+            lambda st: "only",
+            AllOfDomains({mech("z1"): FiniteDomain((0, 1))}),
+        )
+    }
     report = check_strong(w, {mech("Z"): FiniteDomain(("only",))})
     assert report.ok
 

@@ -95,6 +95,23 @@ def test_quotient_of_continuous_noise_has_no_exact_distribution():
         solution_distributions(high)
 
 
+def test_quotient_of_continuous_noise_samples():
+    # the group runs X's and Z's own assignments in the low model's order, so
+    # both sides draw the same numbers and the tables agree exactly
+    low = two_constant_nodes()
+    X, Z = low.object_vars
+    noisy_z = SamplerAssign(lambda th, pa, rng: (pa[X] + th + (rng.random() < 0.2)) % 2)
+    low = MechanizedSCM(
+        low.mech_model,
+        dataclasses.replace(low.obj_model, assigns={**low.obj_model.assigns, Z: noisy_z}),
+    )
+    high, a, t, w = quotient_abstraction(low, [(X, Z)])
+    assert len(solution_distributions(high, n=200, seed=3)[0].atoms) == 2
+    report = check_abstraction(low, high, a, t, w, full_subset_suite(w), n=200, seed=3)
+    assert report.ok and len(report.entries) == 5
+    assert max(e.max_mismatch for e in report.entries) == 0.0
+
+
 def test_quotient_rejects_sibling_reading_mechanisms():
     low = two_constant_nodes()
     X, Z = obj("X"), obj("Z")
