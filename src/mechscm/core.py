@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 FLOAT_TOL = 1e-9
+TABLES_KEPT = 128  # exact distribution tables kept per ParameterizedSCM
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +700,8 @@ class SamplerAssign(ObjectAssign):
 class ParameterizedSCM:
     """Acyclic object-level model whose structural assignments are indexed by
     a parameter per variable; its topological order is derived, and ranked
-    by variable order key, once."""
+    by variable order key, once.  ``distribution`` keeps up to ``TABLES_KEPT``
+    exact tables on it, oldest dropped first (see there); no field holds them."""
 
     variables: tuple
     parents: Mapping[VarId, tuple]
@@ -714,6 +716,7 @@ class ParameterizedSCM:
         object.__setattr__(self, "_order", order)
         ranked = sorted(range(len(order)), key=lambda i: order[i]._key)
         object.__setattr__(self, "_ranked", tuple(ranked))
+        object.__setattr__(self, "_tables", {})
 
     @property
     def topological_order(self) -> tuple:
@@ -723,6 +726,11 @@ class ParameterizedSCM:
         missing = [v for v in self.variables if v not in theta]
         if missing:
             raise IncompleteSolution(f"missing parameters for {missing}")
+        for v in self.variables:
+            try:
+                hash(theta[v])
+            except TypeError:
+                raise ValueError(f"parameter of {v!r} is unhashable: {theta[v]!r}") from None
         return InducedSCM(self, {v: theta[v] for v in self.variables})
 
 
@@ -732,9 +740,6 @@ class InducedSCM:
 
     model: ParameterizedSCM
     theta: Mapping[VarId, object]
-
-    def local_kernel(self, var: VarId, parent_values: Mapping[VarId, object]):
-        return self.model.assigns[var].kernel(self.theta[var], parent_values)
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +777,6 @@ class MechanizedSCM:
     @property
     def object_vars(self) -> tuple:
         return self.obj_model.variables
-
-    def obj_of(self, v: VarId) -> VarId:
-        return v.paired(Layer.OBJECT)
 
 
 def induce_scm(m: MechanizedSCM, mech_solution: Setting) -> InducedSCM:
@@ -883,6 +885,18 @@ def _forward_paths(
     return paths
 
 
+def _same_value(x, y) -> bool:
+    """Whether two values a dict lookup found equal (identical or ``==`` all
+    the way down) are also of one type, and floats of one sign, all the way."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Table):
+        x, y = (x.keys, x.values), (y.keys, y.values)
+    if isinstance(x, tuple):
+        return all(map(_same_value, x, y))
+    return not isinstance(x, (float, np.floating)) or math.copysign(1, x) == math.copysign(1, y)
+
+
 def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Distribution:
     """Joint distribution over the object variables.
 
@@ -890,13 +904,20 @@ def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Dis
     topological order; every variable must expose an exact local conditional
     (finite or analytically integrable noise), else NonFiniteDomain.  With
     ``n=k`` the table holds the frequencies (count / k) of ``k`` forward
-    samples drawn from ``seed``.
-    """
+    samples drawn from ``seed``.  Exact tables, not sampled ones, are kept on
+    the model by the parameter values in topological order, served again to
+    alike values only (``_same_value``: not ``True`` for ``1``, nor ``-0.0``
+    for ``0.0``), else recomputed; past ``TABLES_KEPT`` the oldest is dropped."""
     check_sample_count(n)
     model = scm.model
     order = model.topological_order
     if n is None:
-        paths = _forward_paths(order, model.parents, scm.local_kernel, {})
+        key = tuple([scm.theta[v] for v in order])
+        kept = model._tables.get(key)
+        if kept is not None and _same_value(kept[0], key):
+            return kept[1]
+        kernel = lambda v, pa: model.assigns[v].kernel(scm.theta[v], pa)
+        paths = _forward_paths(order, model.parents, kernel, {})
     else:
         rng = np.random.default_rng(seed)
         counts: dict = {}
@@ -920,7 +941,12 @@ def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Dis
         key=lambda row: row[0],
     )
     atoms = tuple((Setting._own(dict(zip(order, values))), p) for _, values, p in rows)
-    return Distribution(atoms, n, None if n is None else seed)
+    dist = Distribution(atoms, n, None if n is None else seed)
+    if n is None:
+        if kept is None and len(model._tables) >= TABLES_KEPT:
+            del model._tables[next(iter(model._tables))]
+        model._tables[key] = (key, dist)
+    return dist
 
 
 def solution_distributions(

@@ -54,11 +54,6 @@ class AbstractionPair:
     omega: Mapping[VarId, OmegaVar]
 
 
-def _first_best_response(model_ref: dict, target: VarId, ctx: Setting, u: UtilityFn):
-    """Deterministic tie-break: first maximizer in domain order."""
-    return best_response_set(model_ref["model"], target, ctx, u)[0]
-
-
 # ---------------------------------------------------------------------------
 # Battle of the sexes
 
@@ -165,8 +160,8 @@ def battle_of_sexes(grid_step: float = 0.01) -> MechanizedSCM:
         assignments={
             TU1: lambda ctx: BOS_PAYOFF_1,
             TU2: lambda ctx: BOS_PAYOFF_2,
-            TD1: lambda ctx: _first_best_response(ref, TD1, ctx, u1_util),
-            TD2: lambda ctx: _first_best_response(ref, TD2, ctx, u2_util),
+            TD1: lambda ctx: best_response_set(ref["model"], TD1, ctx, u1_util)[0],
+            TD2: lambda ctx: best_response_set(ref["model"], TD2, ctx, u2_util)[0],
         },
         analytic_solutions=analytic,
     )
@@ -344,8 +339,8 @@ def shared_utility_pair(rationality: str = "br") -> AbstractionPair:
     shared = UtilityFn.of_var(U, "shared")
 
     if rationality == "br":
-        assign_d1 = lambda ctx: _first_best_response(ref, TD1, ctx, shared)
-        assign_d2 = lambda ctx: _first_best_response(ref, TD2, ctx, shared)
+        assign_d1 = lambda ctx: best_response_set(ref["model"], TD1, ctx, shared)[0]
+        assign_d2 = lambda ctx: best_response_set(ref["model"], TD2, ctx, shared)[0]
         decision_parents = {TD1: frozenset({TD2, TU}), TD2: frozenset({TD1, TU})}
     else:
         belief_for = {
@@ -395,7 +390,7 @@ def shared_utility_pair(rationality: str = "br") -> AbstractionPair:
         domains={TDs: pair_dom, TUs: table_dom},
         assignments={
             TUs: lambda ctx: default_u,
-            TDs: lambda ctx: _first_best_response(high_ref, TDs, ctx, shared_high),
+            TDs: lambda ctx: best_response_set(high_ref["model"], TDs, ctx, shared_high)[0],
         },
         parents={TUs: frozenset(), TDs: frozenset({TUs})},
     )

@@ -17,6 +17,7 @@ from mechscm.core import (
     FLOAT_TOL,
     DeterministicSCM,
     EmptyDomain,
+    Layer,
     MechSCMError,
     MechanizedSCM,
     NonFiniteDomain,
@@ -231,7 +232,7 @@ def is_nontrivial_agent(
     verdict = is_agent(m, target, relation, u, contexts)
     if not verdict:
         return NontrivialVerdict(False, None, verdict)
-    target_obj = m.obj_of(target)
+    target_obj = target.paired(Layer.OBJECT)
 
     def table_for(ctx: Setting):
         full = ctx.set(target, m.mech_model.assignments[target](ctx))

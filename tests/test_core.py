@@ -1,10 +1,12 @@
 """Core model algebra: projection, solvers, induced distributions."""
 
+import dataclasses
 import itertools
 import math
 import numbers
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -19,6 +21,7 @@ from mechscm.examples import actor_critic_pair
 from mechscm.quotient import quotient_abstraction
 from mechscm.core import (
     EMPTY_SETTING,
+    TABLES_KEPT,
     BernoulliAssign,
     DeterministicAssign,
     DeterministicSCM,
@@ -570,3 +573,126 @@ def test_distribution_order_with_unsorted_variables():
         d = distribution(induce_scm(model, sol))
         assert [v for v, _ in d.atoms[0][0].sorted_items()] != list(model.object_vars)
         assert exact_distribution(dict(reversed(d.atoms))).atoms == d.atoms
+
+
+# ---------------------------------------------------------------------------
+# Kept exact tables
+
+
+def table_fingerprint(d):
+    return tuple((repr(s), p.hex()) for s, p in d.atoms), d.n_samples, d.seed
+
+
+def fresh_table(model: ParameterizedSCM, theta: dict, n=None):
+    """The table a freshly built twin of ``model``, which keeps nothing yet,
+    computes for ``theta``."""
+    return distribution(dataclasses.replace(model).at(theta), n, seed=0)
+
+
+def equal_variant(x, draw: random.Random):
+    """A value equal to ``x`` (so one dict key), perhaps of another type or sign."""
+    if isinstance(x, tuple):
+        return tuple(equal_variant(y, draw) for y in x)
+    options = [x, float(x), np.int64(x)]
+    if x in (0, 1):
+        options.append(bool(x))
+    if x == 0:
+        options.append(-0.0)
+    return draw.choice(options)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 199), st.integers(0, 2**32))
+def test_kept_tables_equal_fresh_tables(seed, index, draw_seed):
+    # a run of parameter settings with repeats, longer than the bound, some
+    # of them sampled, some in an equal variant of another type or sign:
+    # every table the model returns is the one a fresh twin computes
+    case = fuzzgen.random_case(seed, index)
+    high = quotient_abstraction(case.low, case.groups)[0]
+    draw = random.Random(draw_seed)
+    for model in (case.low.obj_model, high.obj_model):  # ints, the quotient's tuples
+        grids = [model.param_domains[v].enumerate() for v in model.variables]
+        thetas = list(itertools.product(*grids))
+        for _ in range(TABLES_KEPT + 1 + draw.randrange(40)):
+            values = [equal_variant(x, draw) for x in draw.choice(thetas)]
+            n = draw.choice([None, None, None, 7])
+            theta = dict(zip(model.variables, values))
+            got = distribution(model.at(theta), n, seed=0)
+            assert table_fingerprint(got) == table_fingerprint(fresh_table(model, theta, n))
+        assert len(model._tables) <= TABLES_KEPT
+
+
+def echo_model() -> ParameterizedSCM:
+    """One variable whose value is its parameter, so the parameter's type
+    and sign show in the atoms."""
+    A = obj("A")
+    return ParameterizedSCM(
+        variables=(A,),
+        parents={A: ()},
+        domains={A: FiniteDomain((0, 1))},
+        param_domains={A: FiniteDomain((0, 1))},
+        assigns={A: DeterministicAssign(lambda th, pa: th)},
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (True, 1),
+        (1, 1.0),
+        (np.int64(1), 1),
+        (0.0, -0.0),
+        ((True, 0), (1, 0)),
+        (Table((1,), (0.0,)), Table((True,), (-0.0,))),
+    ],
+)
+def test_equal_parameters_of_another_type_or_sign_are_not_served(first, second):
+    A = obj("A")
+    for a, b in ((first, second), (second, first)):
+        model = echo_model()
+        for theta in (a, b, a, b):
+            got = distribution(model.at({A: theta}))
+            want = fresh_table(model, {A: theta})
+            assert table_fingerprint(got) == table_fingerprint(want)
+            assert type(got.atoms[0][0][A]) is type(theta)
+        assert len(model._tables) == 1  # the near miss replaced its entry
+
+
+def test_kept_tables_stop_at_the_bound_oldest_dropped_first():
+    A = obj("A")
+    model = echo_model()
+    thetas = range(TABLES_KEPT + 5)
+    first = [distribution(model.at({A: t})) for t in thetas]
+    assert len(model._tables) == TABLES_KEPT
+    # the last TABLES_KEPT are served as kept, the five oldest recomputed
+    assert all(distribution(model.at({A: t})) is first[t] for t in thetas[5:])
+    assert not any(distribution(model.at({A: t})) is first[t] for t in thetas[:5])
+    assert len(model._tables) == TABLES_KEPT
+
+
+def test_sampled_tables_are_neither_kept_nor_served():
+    A = obj("A")
+    model = echo_model()
+    ind = model.at({A: 1})
+    sampled = distribution(ind, n=10, seed=0)
+    assert sampled.n_samples == 10 and not model._tables
+    exact = distribution(ind)
+    assert exact.n_samples is None and len(model._tables) == 1
+    again = distribution(ind, n=10, seed=4)
+    assert (again.n_samples, again.seed) == (10, 4)
+    assert distribution(ind) is exact
+
+
+@pytest.mark.parametrize("bad", [[1], {1: 2}, (1, [2])])
+def test_at_rejects_unhashable_parameters_by_name(bad):
+    A, B = obj("A"), obj("B")
+    dom = FiniteDomain((0, 1))
+    model = ParameterizedSCM(
+        variables=(A, B),
+        parents={A: (), B: ()},
+        domains={A: dom, B: dom},
+        param_domains={A: dom, B: dom},
+        assigns={A: DeterministicAssign(lambda th, pa: 0), B: DeterministicAssign(lambda th, pa: 0)},
+    )
+    with pytest.raises(ValueError, match="parameter of B is unhashable"):
+        model.at({A: 0, B: bad})
