@@ -25,9 +25,9 @@ from mechscm.core import (
     Layer,
     MechSCMError,
     MechanizedSCM,
-    NonFiniteDomain,
     Setting,
     VarId,
+    all_settings,
     canon_key,
     check_sample_count,
     check_target,
@@ -42,7 +42,6 @@ __all__ = [
     "PartialCollection",
     "Alignment",
     "OmegaUndefined",
-    "DefinedDomain",
     "AllOfDomains",
     "ExplicitSettings",
     "OmegaVar",
@@ -151,21 +150,8 @@ class OmegaUndefined:
         return f"OmegaUndefined({self.reason!r})"
 
 
-class DefinedDomain:
-    """Explicit description of where a per-variable omega is defined."""
-
-    def contains(self, setting: Setting) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def enumerate(self) -> tuple:
-        raise NonFiniteDomain("defined domain is not enumerable")
-
-    def sample(self, rng) -> Setting:
-        raise NotImplementedError("defined domain has no sampler")
-
-
 @dataclass(frozen=True)
-class AllOfDomains(DefinedDomain):
+class AllOfDomains:
     """The settings of exactly the collection's variables within their
     domains; enumerable whenever those domains are finite or discretized."""
 
@@ -179,9 +165,7 @@ class AllOfDomains(DefinedDomain):
         return items.keys() == dom.keys() and all(dom[v].contains(x) for v, x in items.items())
 
     def enumerate(self) -> tuple:
-        vs = self._vars()
-        grids = [self.domains[v].enumerate() for v in vs]
-        return tuple(Setting(dict(zip(vs, combo))) for combo in itertools.product(*grids))
+        return tuple(all_settings(self._vars(), self.domains))
 
     def sample(self, rng) -> Setting:
         vs = self._vars()
@@ -193,7 +177,7 @@ class AllOfDomains(DefinedDomain):
 
 
 @dataclass(frozen=True)
-class ExplicitSettings(DefinedDomain):
+class ExplicitSettings:
     settings: tuple
 
     def contains(self, setting: Setting) -> bool:
@@ -209,10 +193,13 @@ class ExplicitSettings(DefinedDomain):
 @dataclass(frozen=True)
 class OmegaVar:
     """One high-level mechanism variable's partial intervention map, from
-    settings of its collection (see ``Alignment.mech_collection``)."""
+    settings of its collection (see ``Alignment.mech_collection``).  The
+    variables of ``defined`` must be exactly that collection; nothing checks
+    this yet, and a mismatch makes ``grid_suite`` emit settings of the wrong
+    variables."""
 
     fn: Callable[[Setting], object]
-    defined: DefinedDomain
+    defined: AllOfDomains | ExplicitSettings
 
 
 def push_omega(a: Alignment, w: Mapping[VarId, OmegaVar], low_intervention: Setting):
@@ -487,11 +474,8 @@ def prop1_preconditions(
         per_parent_inputs = []
         for p in parents:
             lows = a.mech_collection(p.paired(Layer.MECHANISM))  # p's group, by name
-            group = tuple(v.paired(Layer.OBJECT) for v in lows)
-            grids = [low.obj_model.domains[v].enumerate() for v in group]
-            per_parent_inputs.append(
-                [Setting(dict(zip(group, combo))) for combo in itertools.product(*grids)]
-            )
+            group = [v.paired(Layer.OBJECT) for v in lows]
+            per_parent_inputs.append(list(all_settings(group, low.obj_model.domains)))
         seen: dict = {}
         for combo in itertools.product(*per_parent_inputs):
             image = tuple(tau(s) for tau, s in zip(taus, combo))

@@ -33,6 +33,7 @@ __all__ = [
     "Table",
     "Setting",
     "EMPTY_SETTING",
+    "all_settings",
     "values_close",
     "canon_key",
     "DeterministicSCM",
@@ -427,6 +428,18 @@ class Setting(Mapping):
 
 
 EMPTY_SETTING = Setting()
+
+
+def all_settings(variables: Sequence[VarId], domains: Mapping[VarId, Domain]) -> Iterator[Setting]:
+    """Every setting of ``variables`` within their domains, in product order
+    (the last variable varies fastest).  NonFiniteDomain at once, not on
+    first iteration, when some domain is not finite or discretized."""
+    variables = tuple(variables)
+    for v in variables:
+        if not domains[v].is_enumerable:
+            raise NonFiniteDomain(f"domain of {v!r} is not finite or discretized")
+    grids = [domains[v].enumerate() for v in variables]
+    return (Setting(zip(variables, combo)) for combo in itertools.product(*grids))
 
 
 def setting_sort_key(s: Setting):

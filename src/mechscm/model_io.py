@@ -12,7 +12,6 @@ same finite behavior.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Mapping
 
@@ -26,8 +25,8 @@ from mechscm.core import (
     NonFiniteDomain,
     ParameterizedSCM,
     RealBox,
-    Setting,
     Table,
+    all_settings,
     mech,
     obj,
 )
@@ -95,11 +94,6 @@ def decode_domain(d):
 # Saving
 
 
-def _require_enumerable(d: Domain, what: str):
-    if not d.is_enumerable:
-        raise NonFiniteDomain(f"{what} is not finite or discretized; cannot tabulate")
-
-
 def model_to_dict(m: MechanizedSCM) -> dict:
     mech_model, obj_model = m.mech_model, m.obj_model
     names = [v.name for v in obj_model.variables]
@@ -122,13 +116,10 @@ def model_to_dict(m: MechanizedSCM) -> dict:
             deps = tuple(sorted(mech_model.parents.get(mv, ()), key=lambda v: v.name))
         else:
             deps = tuple(sorted(mech_model.others(mv), key=lambda v: v.name))
-        for d in deps:
-            _require_enumerable(mech_model.domains[d], f"mechanism domain of {d!r}")
         entries = []
-        for combo in itertools.product(*(mech_model.domains[d].enumerate() for d in deps)):
-            ctx = Setting(dict(zip(deps, combo)))
+        for ctx in all_settings(deps, mech_model.domains):
             value = mech_model.assignments[mv](ctx)
-            entries.append([[encode_value(x) for x in combo], encode_value(value)])
+            entries.append([[encode_value(x) for x in ctx.values()], encode_value(value)])
         mechanism_tables[mv.name] = {
             "depends_on": [d.name for d in deps],
             "entries": entries,
@@ -137,23 +128,21 @@ def model_to_dict(m: MechanizedSCM) -> dict:
     object_tables = {}
     noise_info = {}
     for v in obj_model.variables:
-        _require_enumerable(obj_model.param_domains[v], f"parameter domain of {v!r}")
-        for p in obj_model.parents.get(v, ()):
-            _require_enumerable(obj_model.domains[p], f"object domain of {p!r}")
+        if not obj_model.param_domains[v].is_enumerable:
+            raise NonFiniteDomain(f"parameter domain of {v!r} is not finite or discretized")
+        parent_settings = tuple(all_settings(obj_model.parents.get(v, ()), obj_model.domains))
         entries = []
-        pvars = obj_model.parents.get(v, ())
         for theta in obj_model.param_domains[v].enumerate():
-            for combo in itertools.product(*(obj_model.domains[p].enumerate() for p in pvars)):
-                kernel = obj_model.assigns[v].kernel(theta, dict(zip(pvars, combo)))
+            for ctx in parent_settings:
+                kernel = obj_model.assigns[v].kernel(theta, dict(ctx))
                 if kernel is None:
                     raise NonFiniteDomain(f"{v!r} has continuous noise; cannot tabulate")
                 dist = sorted(
                     ((encode_value(val), p) for val, p in kernel.items()),
                     key=lambda vp: json.dumps(vp[0], sort_keys=True),
                 )
-                entries.append(
-                    [encode_value(theta), [encode_value(x) for x in combo], [[x, p] for x, p in dist]]
-                )
+                parent_values = [encode_value(x) for x in ctx.values()]
+                entries.append([encode_value(theta), parent_values, [[x, p] for x, p in dist]])
         object_tables[v.name] = {"entries": entries}
         if isinstance(obj_model.assigns[v], DeterministicAssign):
             noise_info[v.name] = {"kind": "singleton"}

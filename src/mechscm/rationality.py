@@ -20,9 +20,9 @@ from mechscm.core import (
     Layer,
     MechSCMError,
     MechanizedSCM,
-    NonFiniteDomain,
     Setting,
     VarId,
+    all_settings,
     canon_key,
     check_target,
     distribution,
@@ -330,9 +330,4 @@ def enumerate_contexts(m: MechanizedSCM, target: VarId):
 
 def _contexts(m: DeterministicSCM, target: VarId):
     check_target(m, target)
-    others = m.others(target)
-    for v in others:
-        if not m.domains[v].is_enumerable:
-            raise NonFiniteDomain(f"domain of {v!r} is not finite or discretized")
-    grids = [m.domains[v].enumerate() for v in others]
-    return (Setting(dict(zip(others, combo))) for combo in itertools.product(*grids))
+    return all_settings(m.others(target), m.domains)

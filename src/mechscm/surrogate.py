@@ -30,7 +30,6 @@ from mechscm.voting import (
     median_ne,  # noqa: F401  (perfbench's tracer expects it in this namespace)
     sample_interventions,
     vcg_block,
-    vcg_country_params,
     vcg_params_block,
     zero_on_country_interventions,
 )
@@ -209,11 +208,8 @@ def loss_and_gradient(
     via reverse accumulation through both the equilibrium formula and the
     network."""
     out, pre, activations = net.forward_cached(lam_batch)
-    gain = 0.5 / (1.0 + float(delta_hat.sum()))
     with np.errstate(invalid="ignore", over="ignore"):
-        total = gain * out.sum(axis=1, keepdims=True)
-        q_hat = out / 2.0 - delta_hat[None, :] * total
-        err = q_hat - q_batch
+        err = ne_q_hat(out, delta_hat) - q_batch
         batch = lam_batch.shape[0]
         loss = float((err**2).sum() / batch)
     if not np.isfinite(loss):
@@ -221,6 +217,7 @@ def loss_and_gradient(
 
     d_q = 2.0 * err / batch
     # dq_c/dalpha_k = 1{c=k}/2 - delta_c * gain
+    gain = 0.5 / (1.0 + float(delta_hat.sum()))
     d_alpha = 0.5 * d_q - gain * (d_q @ delta_hat)[:, None]
     grad = net.backward(d_alpha, pre, activations)
     if not np.isfinite(grad).all():
@@ -374,10 +371,7 @@ def train(
     # Center the output at the un-intervened ratios by inverting the
     # equilibrium map at lambda = 0; the epoch budget then goes entirely to
     # learning the intervention response rather than climbing to the mean.
-    if mechanism == "dictator":
-        q0 = dictator_baseline(pop, n_draws=200, seed=warm_seed)
-    else:
-        q0 = _solve_rows(mechanism, pop, [Intervention.zero(pop)])[0][0]
+    q0 = _unintervened(mechanism, pop, 200, warm_seed)
     net.biases[-1][:] = 2.0 * (q0 + delta.delta_hat * float(q0.sum()))
     adam = np.zeros((4, net.params.size))
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -479,6 +473,16 @@ def stochastic_floor(
     return total / n_interventions
 
 
+def _unintervened(
+    mechanism: str, pop: Population, n_draws: int, seed: int | np.random.SeedSequence
+) -> np.ndarray:
+    """Equilibrium levels at lambda = 0: the average over ``n_draws`` seeded
+    dictator redraws for the stochastic mechanism, else the one solution."""
+    if mechanism == "dictator":
+        return dictator_baseline(pop, n_draws=n_draws, seed=seed)
+    return _solve_rows(mechanism, pop, [Intervention.zero(pop)])[0][0]
+
+
 def evaluate(
     net: OmegaNetwork,
     delta: DeltaEstimate,
@@ -500,18 +504,14 @@ def evaluate(
     per_country = abs_err.mean(axis=0)
     model_mae = float(per_country.sum())
 
-    if mechanism == "dictator":
-        q0 = dictator_baseline(pop, n_draws=baseline_draws, seed=baseline_seed)
-    else:
-        q0 = _solve_rows(mechanism, pop, [Intervention.zero(pop)])[0][0]
+    q0 = _unintervened(mechanism, pop, baseline_draws, baseline_seed)
     base_err = np.abs(q0[None, :] - test_set.q)
     per_country_base = base_err.mean(axis=0)
     baseline_mae = float(per_country_base.sum())
 
     mae_delta = mae_alpha = None
     if mechanism == "vcg":
-        zero_params = vcg_country_params(pop, Intervention.zero(pop))
-        true_delta = zero_params.delta
+        true_delta = vcg_params_block(pop, np.zeros((1, pop.total)))[1]
         mae_delta = np.abs(delta.delta_hat - true_delta)
         blocks = intervention_blocks(test_set.interventions)
         alphas_true = np.concatenate([vcg_params_block(pop, lam)[0] for _, lam in blocks])

@@ -10,8 +10,9 @@ alpha = A/B and delta = D/B, is
 
 Each mechanism has one block solver (``vcg_block``, ``median_block``,
 ``dictator_block``) over a (B, N) matrix of preference reductions, one
-intervention per row, of which ``vcg_ne``, ``median_ne`` and
-``random_dictator_ne`` are the one-row case.  ``intervention_blocks`` stacks
+intervention per row.  ``vcg_ne``, ``median_ne``, ``random_dictator_ne`` and
+``median_fixed_point_residual`` are one-row views of them, kept only because
+the benchmark in ``perfbench/`` calls them.  ``intervention_blocks`` stacks
 at most ``BLOCK_ROWS`` = 64 distinct lambda rows per call, which bounds the
 (B, N) temporaries; ``dictator_block`` may share one lambda row across any
 number of seeds.  Every row's result is bit-identical to solving it alone.
@@ -33,14 +34,11 @@ __all__ = [
     "ParameterRanges",
     "Population",
     "Intervention",
-    "CountryParams",
     "NEResult",
     "BLOCK_ROWS",
     "intervention_blocks",
     "generate_population",
-    "ne_from_params",
     "vcg_ne",
-    "vcg_country_params",
     "vcg_params_block",
     "vcg_block",
     "median_ne",
@@ -95,12 +93,8 @@ class Population:
                 raise InvalidConfig(f"{name} must have one entry per citizen")
         if np.any(self.a < 0) or np.any(self.b <= 0) or np.any(self.d < 0):
             raise InvalidConfig("require a >= 0, b > 0, d >= 0")
-        # Country layout: each country's first citizen index, and each
-        # citizen's country.
+        # Each country's first citizen index.
         object.__setattr__(self, "offsets", tuple(itertools.accumulate(self.sizes, initial=0))[:-1])
-        country_of = np.repeat(np.arange(len(self.sizes)), self.sizes)
-        country_of.flags.writeable = False
-        object.__setattr__(self, "country_of", country_of)
 
     @property
     def n_countries(self) -> int:
@@ -131,20 +125,6 @@ class Intervention:
 
     def validate_for(self, pop: Population) -> None:
         _preferences(pop, self.lam[None])
-
-
-@dataclass(frozen=True)
-class CountryParams:
-    alpha: np.ndarray
-    delta: np.ndarray
-
-    def __post_init__(self):
-        if self.alpha.shape != self.delta.shape:
-            raise InvalidConfig("alpha and delta must have equal length")
-        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.delta))):
-            raise InvalidConfig("parameters must be finite")
-        if np.any(self.delta < 0):
-            raise InvalidConfig("delta must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -276,12 +256,6 @@ def _closed_form(alpha: np.ndarray, delta: np.ndarray) -> tuple:
     return alpha / 2.0 - delta * total[:, None], total
 
 
-def ne_from_params(p: CountryParams) -> NEResult:
-    """Closed-form equilibrium of the country-level quadratic game."""
-    q, total = _closed_form(p.alpha[None], p.delta)
-    return NEResult(q=q[0], Q_W=float(total[0]))
-
-
 def vcg_params_block(pop: Population, lam: np.ndarray) -> tuple:
     """Ground-truth ratios under truthful aggregation: alpha (B, C), delta (C,)."""
     x = _preferences(pop, lam)
@@ -298,12 +272,8 @@ def vcg_block(pop: Population, lam: np.ndarray) -> tuple:
 
 
 def vcg_ne(pop: Population, iv: Intervention) -> NEResult:
-    return ne_from_params(vcg_country_params(pop, iv))
-
-
-def vcg_country_params(pop: Population, iv: Intervention) -> CountryParams:
-    alpha, delta = vcg_params_block(pop, iv.lam[None])
-    return CountryParams(alpha=alpha[0], delta=delta)
+    q, total = vcg_block(pop, iv.lam[None])
+    return NEResult(q=q[0], Q_W=float(total[0]))
 
 
 def _median_targets(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -560,3 +560,47 @@ def test_prop1_conclusion_backed_by_nontriviality_check(ac):
     rel = RationalityRelation.best_response(mech("S*"))
     for u in utilities:
         assert not is_nontrivial_agent(ac.high, mech("S*"), rel, u, contexts)
+
+
+def test_prop1_detects_a_tau_that_is_not_injective():
+    su = shared_utility_pair("br")
+    report = prop1_preconditions(su.low, su.high, su.alignment, su.tau, su.omega, mech("U*"))
+    assert report.tau_injective and report.independent_mechanisms
+    forgets_d2 = {**su.tau, obj("D*"): lambda st: (st[obj("D1")], 0)}
+    report = prop1_preconditions(su.low, su.high, su.alignment, forgets_d2, su.omega, mech("U*"))
+    assert not report.tau_injective and report.independent_mechanisms
+
+
+def test_partial_omega_reports_undefined_interventions():
+    fm = shared_utility_pair("fm")
+    only = Setting({mech("D1"): 0, mech("D2"): 0})
+    partial = {**fm.omega, mech("D*"): OmegaVar(fm.omega[mech("D*")].fn, ExplicitSettings((only,)))}
+    suite = full_subset_suite(fm.omega)
+    report = check_abstraction(fm.low, fm.high, fm.alignment, fm.tau, partial, suite)
+    undefined = [
+        iv for iv in suite if mech("D1") in iv and iv.project([mech("D1"), mech("D2")]) != only
+    ]
+    assert len(suite) == 20 and len(undefined) == 12
+    for entry in report.entries:
+        if entry.low_intervention in undefined:
+            assert isinstance(entry.high_intervention, OmegaUndefined)
+            assert not entry.matched and entry.max_mismatch == math.inf
+            assert entry.n_low == entry.n_high == 0
+            assert entry.note == entry.high_intervention.reason
+            assert entry.note.startswith("~D*: ") and "outside omega's defined domain" in entry.note
+        else:
+            assert entry.matched
+    assert report.summary() == "abstraction: FAIL (8/20)"
+    doc = report.to_dict()
+    assert (doc["ok"], doc["n_interventions"], doc["n_matched"]) == (False, 20, 8)
+    for entry, row in zip(report.entries, doc["entries"]):
+        if entry.low_intervention in undefined:
+            assert row == {
+                "low": repr(entry.low_intervention),
+                "high": f"OmegaUndefined({entry.note!r})",
+                "matched": False,
+                "max_mismatch": math.inf,
+                "n_low_distributions": 0,
+                "n_high_distributions": 0,
+                "note": entry.note,
+            }

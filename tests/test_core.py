@@ -36,6 +36,7 @@ from mechscm.core import (
     SamplerAssign,
     Setting,
     Table,
+    all_settings,
     canon_key,
     distribution,
     exact_distribution,
@@ -220,6 +221,21 @@ def test_enumerate_non_finite_domain():
     )
     with pytest.raises(NonFiniteDomain):
         solve_enumerate(m)
+
+
+def test_all_settings_is_the_product_and_checks_at_call():
+    X, Y, Z = mech("X"), mech("Y"), mech("Z")
+    domains = {
+        X: FiniteDomain((0, 1)),
+        Y: FiniteDomain(("a", "b", "c")),
+        Z: RealBox((0.0,), (1.0,), grid_step=None),
+    }
+    got = list(all_settings([X, Y], domains))
+    assert got == [Setting({X: x, Y: y}) for x in (0, 1) for y in ("a", "b", "c")]
+    assert [list(s) for s in got] == [[X, Y]] * 6
+    assert list(all_settings([], domains)) == [EMPTY_SETTING]
+    with pytest.raises(NonFiniteDomain, match="~Z"):
+        all_settings([X, Z], domains)  # raised before any iteration
 
 
 # ---------------------------------------------------------------------------

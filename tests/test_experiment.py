@@ -9,7 +9,7 @@ import platform
 import numpy as np
 import pytest
 
-from mechscm.experiment import SEED_STAGES, ExperimentConfig, run_experiment
+from mechscm.experiment import SEED_STAGES, ExperimentConfig, _check_thresholds, run_experiment
 from mechscm.surrogate import MECHANISMS, make_dataset
 from mechscm.voting import generate_population
 
@@ -86,6 +86,34 @@ def test_runs_reproducible(runs):
     first, second = runs
     assert first.artifacts == second.artifacts
     assert first.report == second.report
+
+
+# A report per mechanism that meets every threshold, and one change per
+# threshold that breaks only that one.
+PASSING = {
+    "vcg": {"improvement": 0.95, "model_mae": 0.1, "mae_delta": [1e-9, 2e-9]},
+    "median": {"improvement": 0.85, "median_residual": 1e-6},
+    "dictator": {"improvement": 0.1},
+}
+
+
+@pytest.mark.parametrize(
+    "mechanism, change",
+    [
+        ("vcg", {"improvement": 0.89}),
+        ("vcg", {"model_mae": 0.16}),
+        ("vcg", {"mae_delta": [1e-9, 2e-6]}),
+        ("median", {"improvement": 0.79}),
+        ("median", {"median_residual": 2e-5}),
+        ("dictator", {"improvement": 0.21}),
+    ],
+    ids=["improvement_min", "model_mae_max", "mae_delta_max", "median-improvement_min",
+         "median_residual_max", "improvement_max"],
+)
+def test_each_threshold_fails_its_report_alone(mechanism, change):
+    passing = {"mechanism": mechanism, **PASSING[mechanism]}
+    assert _check_thresholds(passing)
+    assert not _check_thresholds({**passing, **change})
 
 
 @pytest.mark.slow

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from mechscm.voting import (
-    CountryParams,
-    Intervention,
     Population,
     generate_population,
-    ne_from_params,
-    vcg_country_params,
+    vcg_block,
+    vcg_params_block,
 )
 from mechscm.surrogate import (
     DegenerateDesign,
@@ -52,7 +50,7 @@ def test_vcg_delta_regression_exact(seed):
     # regression recovers delta to numerical precision on any seed
     pop = generate_population(seed=seed, n_countries=4, total_citizens=120)
     est = estimate_delta("vcg", pop, seed=seed + 100)
-    true = vcg_country_params(pop, Intervention.zero(pop)).delta
+    true = vcg_params_block(pop, np.zeros((1, pop.total)))[1]
     assert est.method == "regression"
     assert np.max(np.abs(est.delta_hat - true)) <= 1e-9
     assert est.fit_points is not None and len(est.fit_points) == 4
@@ -111,8 +109,10 @@ def test_ne_q_hat_matches_closed_form():
     delta = rng.uniform(0.0, 1.0, size=3)
     got = ne_q_hat(alpha, delta)
     for j in range(4):
-        want = ne_from_params(CountryParams(alpha=alpha[j], delta=delta))
-        assert np.allclose(got[j], want.q, atol=1e-12)
+        # one citizen per country with b = 1 makes vcg's ratios alpha and delta
+        pop = Population(sizes=(1, 1, 1), a=alpha[j], b=np.ones(3), d=delta)
+        want, _ = vcg_block(pop, np.zeros((1, 3)))
+        assert np.allclose(got[j], want[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +340,19 @@ def test_dictator_baseline_deterministic():
     b1 = dictator_baseline(pop, n_draws=100, seed=3)
     b2 = dictator_baseline(pop, n_draws=100, seed=3)
     assert np.array_equal(b1, b2)
+
+
+def test_unknown_mechanism_is_rejected():
+    pop = tiny_population()
+    train_set = make_dataset("vcg", pop, 4, 0)
+    delta = estimate_delta("vcg", pop, 0)
+    net = OmegaNetwork.init(pop.total, pop.n_countries, hidden=(4,), seed=0)
+    calls = [
+        lambda: make_dataset("plurality", pop, 4, 0),
+        lambda: estimate_delta("plurality", pop, 0),
+        lambda: train(pop, "plurality", TrainConfig(epochs=1), train_set=train_set, delta=delta),
+        lambda: evaluate(net, delta, pop, "plurality", train_set),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown mechanism 'plurality'"):
+            call()

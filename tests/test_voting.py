@@ -9,7 +9,6 @@ from mechscm.surrogate import make_dataset
 from mechscm.voting import (
     BLOCK_ROWS,
     LAMBDA_MAX,
-    CountryParams,
     Intervention,
     InvalidConfig,
     NegativePreference,
@@ -20,11 +19,11 @@ from mechscm.voting import (
     median_block,
     median_fixed_point_residual,
     median_ne,
-    ne_from_params,
     random_dictator_ne,
     sample_interventions,
-    vcg_country_params,
+    vcg_block,
     vcg_ne,
+    vcg_params_block,
     zero_on_country_interventions,
 )
 
@@ -32,6 +31,16 @@ from mechscm.voting import (
 def country_utility(alpha: float, delta: float, q_c: float, q_others: float) -> float:
     """U/B for one country: alpha*q - q^2 - delta*(q + Q_others)^2."""
     return alpha * q_c - q_c**2 - delta * (q_c + q_others) ** 2
+
+
+def closed_form(alpha, delta) -> tuple:
+    """(q, Q_W) of the closed-form equilibrium at the given country ratios,
+    through ``vcg_block``: one citizen per country with b = 1, a = alpha and
+    d = delta makes vcg's summed ratios alpha and delta exactly."""
+    C = len(alpha)
+    pop = Population(sizes=(1,) * C, a=np.asarray(alpha), b=np.ones(C), d=np.asarray(delta))
+    q, total = vcg_block(pop, np.zeros((1, C)))
+    return q[0], float(total[0])
 
 
 def golden_section_argmax(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -63,8 +72,6 @@ def test_population_deterministic_and_shapes():
     assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.b, p2.b) and np.array_equal(p1.d, p2.d)
     assert p1.n_countries == 5 and p1.total == 1000
     assert sum(p1.sizes) == 1000 and all(s >= 1 for s in p1.sizes)
-    for c in range(p1.n_countries):
-        assert np.all(p1.country_of[p1.country_slice(c)] == c)
     assert p1.offsets == tuple(int(x) for x in np.cumsum((0,) + p1.sizes[:-1]))
 
 
@@ -144,34 +151,30 @@ def test_intervention_validation():
 
 
 def test_ne_single_country_no_externality():
-    res = ne_from_params(CountryParams(alpha=np.array([1.0]), delta=np.array([0.0])))
-    assert res.Q_W == pytest.approx(0.5) and res.q[0] == pytest.approx(0.5)
+    q, total = closed_form([1.0], [0.0])
+    assert total == pytest.approx(0.5) and q[0] == pytest.approx(0.5)
 
 
 def test_ne_two_symmetric_countries():
     # oracle: hand evaluation of both formulas
-    res = ne_from_params(
-        CountryParams(alpha=np.array([1.0, 1.0]), delta=np.array([0.5, 0.5]))
-    )
-    assert res.Q_W == pytest.approx(0.5)
-    assert np.allclose(res.q, [0.25, 0.25])
-    assert abs(res.q.sum() - res.Q_W) <= 1e-12
+    q, total = closed_form([1.0, 1.0], [0.5, 0.5])
+    assert total == pytest.approx(0.5)
+    assert np.allclose(q, [0.25, 0.25])
+    assert abs(q.sum() - total) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_ne_is_best_response_perturbation_oracle(seed):
     rng = np.random.default_rng(seed)
     C = int(rng.integers(1, 6))
-    params = CountryParams(
-        alpha=rng.uniform(0.1, 20.0, size=C), delta=rng.uniform(0.0, 2.0, size=C)
-    )
-    res = ne_from_params(params)
-    assert abs(res.q.sum() - res.Q_W) <= 1e-12
+    alpha, delta = rng.uniform(0.1, 20.0, size=C), rng.uniform(0.0, 2.0, size=C)
+    q, total = closed_form(alpha, delta)
+    assert abs(q.sum() - total) <= 1e-12
     for c in range(C):
-        q_others = res.Q_W - res.q[c]
-        here = country_utility(params.alpha[c], params.delta[c], res.q[c], q_others)
+        q_others = total - q[c]
+        here = country_utility(alpha[c], delta[c], q[c], q_others)
         for eps in (-1e-3, 1e-3):
-            moved = country_utility(params.alpha[c], params.delta[c], res.q[c] + eps, q_others)
+            moved = country_utility(alpha[c], delta[c], q[c] + eps, q_others)
             assert moved <= here + 1e-12
 
 
@@ -179,18 +182,14 @@ def test_ne_is_best_response_perturbation_oracle(seed):
 def test_ne_matches_golden_section_oracle(seed):
     rng = np.random.default_rng(100 + seed)
     C = int(rng.integers(2, 6))
-    params = CountryParams(
-        alpha=rng.uniform(0.1, 20.0, size=C), delta=rng.uniform(0.0, 2.0, size=C)
-    )
-    res = ne_from_params(params)
+    alpha, delta = rng.uniform(0.1, 20.0, size=C), rng.uniform(0.0, 2.0, size=C)
+    q, total = closed_form(alpha, delta)
     for c in range(C):
-        q_others = res.Q_W - res.q[c]
+        q_others = total - q[c]
         star = golden_section_argmax(
-            lambda q: country_utility(params.alpha[c], params.delta[c], q, q_others),
-            -5.0,
-            25.0,
+            lambda x: country_utility(alpha[c], delta[c], x, q_others), -5.0, 25.0
         )
-        assert abs(star - res.q[c]) <= 1e-6
+        assert abs(star - q[c]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +205,8 @@ def test_vcg_matches_summed_coefficients():
     )
     iv = Intervention.zero(pop)
     res = vcg_ne(pop, iv)
-    params = CountryParams(
-        alpha=np.array([1.0 / 10.0, 1.0 / 10.0]),
-        delta=np.array([0.04 / 10.0, 0.04 / 10.0]),
-    )
-    want = ne_from_params(params)
-    assert np.allclose(res.q, want.q) and res.Q_W == pytest.approx(want.Q_W)
+    q, total = closed_form([1.0 / 10.0, 1.0 / 10.0], [0.04 / 10.0, 0.04 / 10.0])
+    assert np.allclose(res.q, q) and res.Q_W == pytest.approx(total)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -227,9 +222,9 @@ def test_vcg_intervention_monotonicity(seed):
         bumped[i] = min(LAMBDA_MAX, bumped[i] + 0.03)
         res = vcg_ne(pop, Intervention(bumped))
         assert res.Q_W <= base.Q_W + 1e-12
-        lam_c = pop.country_of[i]
-        assert vcg_country_params(pop, Intervention(bumped)).alpha[lam_c] <= \
-            vcg_country_params(pop, Intervention(lam)).alpha[lam_c] + 1e-12
+        c = next(c for c in range(pop.n_countries) if i in range(pop.total)[pop.country_slice(c)])
+        alphas = vcg_params_block(pop, np.stack([bumped, lam]))[0]
+        assert alphas[0, c] <= alphas[1, c] + 1e-12
 
 
 def test_vcg_equals_dictator_with_single_citizens():
@@ -337,12 +332,13 @@ def _row_by_row(mechanism, pop, interventions, seeds):
     """Each intervention solved alone with per-country sums, a sorted lower
     median and np.linalg.norm: (levels, median iteration counts)."""
     sl = [pop.country_slice(c) for c in range(pop.n_countries)]
+    country = np.concatenate([np.full(s.stop - s.start, c) for c, s in enumerate(sl)])
     levels, iterations = [], []
     for iv, seed in zip(interventions, seeds):
         if mechanism == "median":
             q = np.zeros(pop.n_countries)
             for iteration in range(1, 10_001):
-                q_minus = float(np.sum(q)) - q[pop.country_of]
+                q_minus = float(np.sum(q)) - q[country]
                 votes = (pop.a - iv.lam - 2.0 * pop.d * q_minus) / (2.0 * (pop.b + pop.d))
                 targets = np.array([np.sort(votes[s])[(len(votes[s]) - 1) // 2] for s in sl])
                 step = 0.3 * (targets - q)
