@@ -182,11 +182,7 @@ def bos_analytic_equilibria() -> frozenset:
 # Actor-critic pair
 
 
-def actor_critic_pair(
-    grid_step: float = 0.1,
-    r: tuple = (0.2, 0.8),
-    s: tuple = (0.1, 0.9),
-) -> AbstractionPair:
+def actor_critic_pair(grid_step: float = 0.1) -> AbstractionPair:
     """The single-step actor-critic system and its single-agent abstraction.
 
     Low level: the action mechanism follows the critic's two-entry value
@@ -194,9 +190,10 @@ def actor_critic_pair(
     structural object chain is action -> state -> reward plus the two utility
     bookkeeping nodes.  High level: one decision mechanism directly picks the
     action with the larger expected reward.  Value and intervention mappings
-    are the identity on action, state, and reward; ``r`` and ``s`` set the
-    un-intervened reward/state mechanism constants.
+    are the identity on action, state, and reward.  Un-intervened, the reward
+    mechanism is (0.2, 0.8) and the state mechanism (0.1, 0.9).
     """
+    r, s = (0.2, 0.8), (0.1, 0.9)
     A, S, R, Q, Y, W = obj("A"), obj("S"), obj("R"), obj("Q"), obj("Y"), obj("W")
     TA, TS, TR, TQ, TY, TW = (mech(n) for n in "ASRQYW")
     binary = FiniteDomain((0, 1))

@@ -15,27 +15,30 @@ Artifacts written to the output directory (every CSV number is written as
     per_country.csv      vcg: country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q
                          others: country,citizens,mae_q,baseline_mae_q
     training_curve.csv   header: epoch,mean_loss
-    manifest.json        keys: config (``ExperimentConfig.to_dict``); seeds
+    manifest.json        keys: config (the ``ExperimentConfig`` fields:
+                         mechanism, seed, n_countries, total_citizens,
+                         n_train, n_test, epochs, learning_rate); seeds
                          (root plus one int per ``SEED_STAGES`` entry);
                          stage_seconds (delta, data, train, eval); versions
                          (python, numpy); artifacts (sha256 of each file
                          above); duration_seconds; thresholds_ok
 
-The configuration sets the population, the data sizes and the training
-only.  Every median equilibrium (delta probes, data, warm start and
-baseline alike) is solved by ``voting.median_block`` at its defaults.
+The configuration sets the population size, the data sizes and the
+training length and step only.  Citizen parameters are drawn from the
+``voting`` ranges, training batches hold ``TrainConfig.batch_size`` rows, and
+every median equilibrium (delta probes, data, warm start and baseline
+alike) is solved by ``voting.median_block`` at its defaults.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +51,7 @@ from mechscm.surrogate import (
     make_dataset,
     train,
 )
-from mechscm.voting import (
-    ParameterRanges,
-    generate_population,
-    intervention_blocks,
-    median_residuals,
-)
+from mechscm.voting import generate_population, intervention_blocks, median_residuals
 
 __all__ = [
     "ConfigError",
@@ -86,30 +84,14 @@ class ExperimentConfig:
     seed: int = 0
     n_countries: int = 5
     total_citizens: int = 1000
-    a_range: tuple = (0.35, 0.65)
-    b_range: tuple = (7.0, 13.0)
-    d_range: tuple = (0.05, 0.15)
-    size_sigma: float = 0.5
     n_train: int = 1000
     n_test: int = 500
     epochs: int = 100
-    batch_size: int = 32
     learning_rate: float = 1e-3
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}")
-
-    def ranges(self) -> ParameterRanges:
-        return ParameterRanges(
-            a=self.a_range, b=self.b_range, d=self.d_range, size_sigma=self.size_sigma
-        )
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("a_range", "b_range", "d_range"):
-            out[key] = list(out[key])
-        return out
 
 
 @dataclass
@@ -148,18 +130,13 @@ def _atomic_write_json(path: Path, doc: dict) -> None:
 
 
 def _check_thresholds(report: dict) -> bool:
-    t = THRESHOLDS[report["mechanism"]]
-    if "improvement_min" in t and report["improvement"] < t["improvement_min"]:
-        return False
-    if "improvement_max" in t and report["improvement"] > t["improvement_max"]:
-        return False
-    if "model_mae_max" in t and report["model_mae"] > t["model_mae_max"]:
-        return False
-    if "mae_delta_max" in t and max(report["mae_delta"]) > t["mae_delta_max"]:
-        return False
-    if "median_residual_max" in t and report["median_residual"] > t["median_residual_max"]:
-        return False
-    return True
+    """A ``<metric>_min`` bound needs the metric at or above it, a
+    ``<metric>_max`` bound needs every entry of the metric at or below it; a
+    NaN meets neither."""
+    return all(
+        report[key[:-4]] >= bound if key.endswith("_min") else np.max(report[key[:-4]]) <= bound
+        for key, bound in THRESHOLDS[report["mechanism"]].items()
+    )
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
@@ -181,12 +158,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         yield
         stage_seconds[name] = time.perf_counter() - t0
 
-    pop = generate_population(
-        seeds["population"],
-        n_countries=cfg.n_countries,
-        total_citizens=cfg.total_citizens,
-        ranges=cfg.ranges(),
-    )
+    pop = generate_population(seeds["population"], cfg.n_countries, cfg.total_citizens)
     with stage("delta"):
         delta = estimate_delta(cfg.mechanism, pop, seeds["delta"])
     with stage("data"):
@@ -194,10 +166,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         test_set = make_dataset(cfg.mechanism, pop, cfg.n_test, seeds["test_data"])
     with stage("train"):
         train_cfg = TrainConfig(
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate,
-            seed=seeds["init"],
+            epochs=cfg.epochs, learning_rate=cfg.learning_rate, seed=seeds["init"]
         )
         result = train(pop, cfg.mechanism, train_cfg, train_set=train_set, delta=delta)
     with stage("eval"):
@@ -262,7 +231,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     duration = time.perf_counter() - start
     artifacts = {name: _sha256(out_dir / name) for name in [*tables, "report.json"]}
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "seeds": {"root": cfg.seed, **seeds},
         "stage_seconds": stage_seconds,
         "versions": {"python": platform.python_version(), "numpy": np.__version__},

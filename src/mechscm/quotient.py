@@ -45,11 +45,7 @@ class _GroupAssign(KernelAssign):
         return self.sampler(theta, parents, rng)
 
 
-def quotient_abstraction(
-    low: MechanizedSCM,
-    groups: Sequence[Sequence[VarId]],
-    names: Sequence[str] | None = None,
-):
+def quotient_abstraction(low: MechanizedSCM, groups: Sequence[Sequence[VarId]]):
     """Build (high, alignment, tau, omega) from an ordered partition of the
     low-level object variables.  High-level values are tuples of member
     values in group order; mappings are bijections, so the high model is a
@@ -58,10 +54,7 @@ def quotient_abstraction(
     flat = [v for g in groups for v in g]
     if sorted(flat, key=repr) != sorted(low.object_vars, key=repr):
         raise ValueError("groups must partition the low-level object variables")
-    if names is None:
-        names = ["+".join(v.name for v in g) for g in groups]
-    elif len(names) != len(groups):
-        raise ValueError(f"got {len(names)} names for {len(groups)} groups")
+    names = ["+".join(v.name for v in g) for g in groups]
 
     low_obj = low.obj_model
     low_mech = low.mech_model

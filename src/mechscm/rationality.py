@@ -76,8 +76,8 @@ class UtilityFn:
         )
 
     @classmethod
-    def constant(cls, value: float = 0.0, label: str = "constant") -> "UtilityFn":
-        return cls(evaluate=lambda s: value, depends_on=frozenset(), label=label)
+    def constant(cls, value: float = 0.0) -> "UtilityFn":
+        return cls(evaluate=lambda s: value, depends_on=frozenset(), label="constant")
 
     def __call__(self, s: Setting) -> float:
         return float(self.evaluate(s))

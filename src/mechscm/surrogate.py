@@ -60,6 +60,9 @@ MECHANISMS = ("vcg", "median", "dictator")
 INPUT_SCALE = 10.0  # lambda in [0, 0.1] scaled to [0, 1]
 HIDDEN_WIDTHS = (128, 256, 256, 128)
 DELTA_PROBES = 10  # interventions sparing a country, per delta regression
+# Adam's moment decays and denominator offset, the published defaults
+# (Kingma & Ba, 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NonFinite(ArithmeticError):
@@ -83,9 +86,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -229,19 +229,20 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: np.ndarray, cfg: Trai
     """In-place Adam step t on ``params``; ``state`` rows are the first and
     second moments and two scratch rows.  Operation order is that of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)."""
+    p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), with b1, b2 and
+    eps the module's ``ADAM_*`` constants."""
     m, v, s, u = state
-    m *= cfg.beta1
-    np.multiply(grad, 1 - cfg.beta1, out=s)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1 - ADAM_BETA1, out=s)
     m += s
-    v *= cfg.beta2
+    v *= ADAM_BETA2
     np.multiply(grad, grad, out=s)
-    s *= 1 - cfg.beta2
+    s *= 1 - ADAM_BETA2
     v += s
-    np.divide(m, 1 - cfg.beta1**t, out=s)
-    np.divide(v, 1 - cfg.beta2**t, out=u)
+    np.divide(m, 1 - ADAM_BETA1**t, out=s)
+    np.divide(v, 1 - ADAM_BETA2**t, out=u)
     np.sqrt(u, out=u)
-    u += cfg.eps
+    u += ADAM_EPS
     s *= cfg.learning_rate
     s /= u
     params -= s

@@ -31,7 +31,6 @@ from mechscm.core import NoConvergence
 __all__ = [
     "InvalidConfig",
     "NegativePreference",
-    "ParameterRanges",
     "Population",
     "Intervention",
     "NEResult",
@@ -50,11 +49,23 @@ __all__ = [
     "sample_interventions",
     "zero_on_country_interventions",
     "LAMBDA_MAX",
+    "A_RANGE",
+    "B_RANGE",
+    "D_RANGE",
+    "SIZE_SIGMA",
+    "MEDIAN_DAMPING",
 ]
 
 LAMBDA_MAX = 0.1
 BETA_CONCENTRATION = 10.0
 BLOCK_ROWS = 64  # interventions per block-solver call
+# Citizen parameter ranges: b is divided by its country's size and d by the
+# number of countries.  Country sizes are log-normal with sigma SIZE_SIGMA.
+A_RANGE = (0.35, 0.65)
+B_RANGE = (7.0, 13.0)
+D_RANGE = (0.05, 0.15)
+SIZE_SIGMA = 0.5
+MEDIAN_DAMPING = 0.3  # step share of the median iteration
 
 
 class InvalidConfig(ValueError):
@@ -63,17 +74,6 @@ class InvalidConfig(ValueError):
 
 class NegativePreference(ValueError):
     """An intervention pushed some citizen's linear preference below zero."""
-
-
-@dataclass(frozen=True)
-class ParameterRanges:
-    """Sampling ranges for citizen parameters; b is divided by country size
-    and d by the number of countries."""
-
-    a: tuple = (0.35, 0.65)
-    b: tuple = (7.0, 13.0)
-    d: tuple = (0.05, 0.15)
-    size_sigma: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -153,28 +153,22 @@ def _largest_remainder_sizes(raw: np.ndarray, total: int) -> tuple:
     return tuple(int(s) for s in base)
 
 
-def generate_population(
-    seed: int,
-    n_countries: int = 5,
-    total_citizens: int = 1000,
-    ranges: ParameterRanges = ParameterRanges(),
-) -> Population:
+def generate_population(seed: int, n_countries: int = 5, total_citizens: int = 1000) -> Population:
     """Log-normal country sizes scaled to the exact total (largest-remainder
-    rounding), citizen parameters i.i.d. uniform within the scaled ranges."""
+    rounding), citizen parameters i.i.d. uniform within the scaled
+    ``A_RANGE``, ``B_RANGE`` and ``D_RANGE``."""
     if total_citizens < n_countries:
         raise InvalidConfig("need at least one citizen per country")
     rng = np.random.default_rng(seed)
-    raw = rng.lognormal(mean=0.0, sigma=ranges.size_sigma, size=n_countries)
+    raw = rng.lognormal(mean=0.0, sigma=SIZE_SIGMA, size=n_countries)
     sizes = _largest_remainder_sizes(raw, total_citizens)
 
-    a = rng.uniform(ranges.a[0], ranges.a[1], size=total_citizens)
+    a = rng.uniform(A_RANGE[0], A_RANGE[1], size=total_citizens)
     b = np.empty(total_citizens)
-    d = rng.uniform(ranges.d[0] / n_countries, ranges.d[1] / n_countries, size=total_citizens)
+    d = rng.uniform(D_RANGE[0] / n_countries, D_RANGE[1] / n_countries, size=total_citizens)
     offset = 0
     for n_c in sizes:
-        b[offset : offset + n_c] = rng.uniform(
-            ranges.b[0] / n_c, ranges.b[1] / n_c, size=n_c
-        )
+        b[offset : offset + n_c] = rng.uniform(B_RANGE[0] / n_c, B_RANGE[1] / n_c, size=n_c)
         offset += n_c
     return Population(sizes=sizes, a=a, b=b, d=d)
 
@@ -295,17 +289,13 @@ def _median_targets(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray
 
 
 def median_block(
-    pop: Population,
-    lam: np.ndarray,
-    damping: float = 0.3,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
+    pop: Population, lam: np.ndarray, tol: float = 1e-6, max_iter: int = 10_000
 ) -> tuple:
-    """Damped synchronous iteration on the per-country median vote, from all
-    pollution levels zero, on every row at once; a row stops at the first
-    update step of 2-norm at most ``tol``.  Returns the levels (B, C), each
-    row's iteration count and final step norm; NoConvergence if any row has
-    not stopped after ``max_iter`` iterations."""
+    """Synchronous iteration on the per-country median vote, damped by
+    ``MEDIAN_DAMPING``, from all pollution levels zero, on every row at once;
+    a row stops at the first update step of 2-norm at most ``tol``.  Returns
+    the levels (B, C), each row's iteration count and final step norm;
+    NoConvergence if any row has not stopped after ``max_iter`` iterations."""
     if max_iter < 1:
         raise InvalidConfig("need max_iter >= 1")
     x = _preferences(pop, lam)
@@ -313,7 +303,7 @@ def median_block(
     levels, iterations, norms = np.empty((n, pop.n_countries)), np.empty(n, int), np.empty(n)
     rows, q = np.arange(n), np.zeros(levels.shape)
     for iteration in range(1, max_iter + 1):
-        step = damping * (_median_targets(pop, x, q) - q)
+        step = MEDIAN_DAMPING * (_median_targets(pop, x, q) - q)
         q = q + step
         norm = np.sqrt((step * step).sum(axis=1))
         done = norm <= tol
@@ -331,13 +321,9 @@ def median_block(
 
 
 def median_ne(
-    pop: Population,
-    iv: Intervention,
-    damping: float = 0.3,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
+    pop: Population, iv: Intervention, tol: float = 1e-6, max_iter: int = 10_000
 ) -> NEResult:
-    q, iterations, norms = median_block(pop, iv.lam[None], damping, tol, max_iter)
+    q, iterations, norms = median_block(pop, iv.lam[None], tol, max_iter)
     return NEResult(
         q=q[0], Q_W=float(np.sum(q[0])), iterations=int(iterations[0]), residual=float(norms[0])
     )

@@ -604,3 +604,35 @@ def test_partial_omega_reports_undefined_interventions():
                 "n_high_distributions": 0,
                 "note": entry.note,
             }
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda ac: Alignment({mech("A*"): frozenset([obj("A")])}),
+            r"object variables, got ~A\*$",
+            id="mechanism-key",
+        ),
+        pytest.param(
+            lambda ac: Alignment({obj("A*"): frozenset()}),
+            r"image of A\* is empty",
+            id="empty-image",
+        ),
+        pytest.param(
+            lambda ac: Alignment({obj(n): frozenset([obj("A")]) for n in ("A*", "S*")}),
+            "pairwise disjoint",
+            id="overlapping-images",
+        ),
+        pytest.param(
+            lambda ac: prop1_preconditions(
+                ac.low, ac.high, ac.alignment, ac.tau, ac.omega, obj("A*")
+            ),
+            "must be a high-level mechanism variable",
+            id="prop1-object-target",
+        ),
+    ],
+)
+def test_invalid_alignments_and_targets_raise_value_errors(ac, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ac)

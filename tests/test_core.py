@@ -30,6 +30,7 @@ from mechscm.core import (
     KernelAssign,
     Layer,
     MechanizedSCM,
+    MechSCMError,
     NonFiniteDomain,
     ParameterizedSCM,
     RealBox,
@@ -712,3 +713,86 @@ def test_at_rejects_unhashable_parameters_by_name(bad):
     )
     with pytest.raises(ValueError, match="parameter of B is unhashable"):
         model.at({A: 0, B: bad})
+
+
+def _cyclic_object_model():
+    A, B = obj("A"), obj("B")
+    dom = FiniteDomain((0, 1))
+    copy = DeterministicAssign(lambda th, pa: th)
+    return ParameterizedSCM(
+        variables=(A, B),
+        parents={A: (B,), B: (A,)},
+        domains={A: dom, B: dom},
+        param_domains={A: dom, B: dom},
+        assigns={A: copy, B: copy},
+    )
+
+
+def _chain_with_mechanisms(**domains):
+    """``two_var_chain``'s object model under a constant mechanism model over
+    the given mechanism domains."""
+    obj_model = two_var_chain().obj_model
+    variables = tuple(mech(name) for name in domains)
+    return MechanizedSCM(
+        DeterministicSCM(
+            variables=variables,
+            domains={v: domains[v.name] for v in variables},
+            assignments={v: (lambda c: 1) for v in variables},
+        ),
+        obj_model,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: RealBox((0.0,), (1.0, 1.0)), ValueError, "equal dimension", id="box-dims"
+        ),
+        pytest.param(
+            lambda: RealBox((1.0,), (0.0,)), ValueError, "lower bound above", id="box-bounds"
+        ),
+        pytest.param(
+            lambda: DeterministicSCM((X1, obj("X1")), {}, {}),
+            ValueError,
+            "names must be unique",
+            id="scm-duplicate-name",
+        ),
+        pytest.param(
+            lambda: DeterministicSCM((X1,), {X1: FiniteDomain((0,))}, {}),
+            ValueError,
+            "assignment for ~X1$",
+            id="scm-missing-assignment",
+        ),
+        pytest.param(
+            lambda: solve_acyclic(copy_cycle()),
+            MechSCMError,
+            "no declared acyclic",
+            id="acyclic-solver",
+        ),
+        pytest.param(_cyclic_object_model, ValueError, "must be acyclic", id="cyclic-object-graph"),
+        pytest.param(
+            lambda: two_var_chain().obj_model.at({obj("A"): 0.5}),
+            IncompleteSolution,
+            r"missing parameters for \[B\]$",
+            id="at-missing-parameter",
+        ),
+        pytest.param(
+            lambda: _chain_with_mechanisms(A=RealBox((0.0,), (1.0,), grid_step=0.5)),
+            ValueError,
+            r"\['A'\] vs \['A', 'B'\]",
+            id="unpaired-variables",
+        ),
+        pytest.param(
+            lambda: _chain_with_mechanisms(
+                A=RealBox((0.0,), (1.0,), grid_step=0.5), B=FiniteDomain((0, 1))
+            ),
+            ValueError,
+            "parameter domain of B must equal",
+            id="unequal-parameter-domain",
+        ),
+    ],
+)
+def test_invalid_models_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -133,7 +133,7 @@ def test_actor_critic_tie_resolved_toward_action_one():
 
 
 def test_actor_critic_unintervened_defaults():
-    pair = actor_critic_pair(r=(0.2, 0.8), s=(0.1, 0.9))
+    pair = actor_critic_pair()
     (sol,) = solution_set(pair.low.mech_model)
     assert sol[mech("R")] == (0.2, 0.8) and sol[mech("S")] == (0.1, 0.9)
     assert sol[mech("A")] == 1

@@ -2,6 +2,7 @@
 manifest and reproducible runs."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import platform
@@ -28,7 +29,7 @@ def test_train_and_test_rows_disjoint(runs):
     cfg = result.config
     manifest = json.loads((result.out_dir / "manifest.json").read_text())
     seeds = manifest["seeds"]
-    pop = generate_population(seeds["population"], cfg.n_countries, cfg.total_citizens, cfg.ranges())
+    pop = generate_population(seeds["population"], cfg.n_countries, cfg.total_citizens)
     lam = {}
     for part, n in (("train", cfg.n_train), ("test", cfg.n_test)):
         data = make_dataset(cfg.mechanism, pop, n, seeds[f"{part}_data"])
@@ -60,7 +61,7 @@ def test_every_csv_cell_is_a_number(runs):
 def test_manifest_complete_and_hashes_match(runs):
     result = runs[0]
     manifest = json.loads((result.out_dir / "manifest.json").read_text())
-    assert manifest["config"] == result.config.to_dict()
+    assert manifest["config"] == dataclasses.asdict(result.config)
     assert manifest["seeds"]["root"] == result.config.seed
     assert set(manifest["seeds"]) == {"root", *SEED_STAGES}
     assert len({manifest["seeds"][s] for s in SEED_STAGES}) == len(SEED_STAGES)
@@ -88,13 +89,14 @@ def test_runs_reproducible(runs):
     assert first.report == second.report
 
 
-# A report per mechanism that meets every threshold, and one change per
-# threshold that breaks only that one.
+# A report per mechanism that meets every threshold, one change per
+# threshold that breaks only that one, and NaN metrics, which meet none.
 PASSING = {
     "vcg": {"improvement": 0.95, "model_mae": 0.1, "mae_delta": [1e-9, 2e-9]},
     "median": {"improvement": 0.85, "median_residual": 1e-6},
     "dictator": {"improvement": 0.1},
 }
+NAN = float("nan")
 
 
 @pytest.mark.parametrize(
@@ -106,9 +108,19 @@ PASSING = {
         ("median", {"improvement": 0.79}),
         ("median", {"median_residual": 2e-5}),
         ("dictator", {"improvement": 0.21}),
+        ("vcg", {"improvement": NAN, "model_mae": NAN, "mae_delta": [NAN, NAN]}),
+        ("median", {"improvement": NAN, "median_residual": NAN}),
+        ("dictator", {"improvement": NAN}),
+        ("vcg", {"improvement": NAN}),
+        ("vcg", {"model_mae": NAN}),
+        ("vcg", {"mae_delta": [NAN, 1.0]}),
+        ("vcg", {"mae_delta": [1e-9, NAN]}),
+        ("median", {"median_residual": NAN}),
     ],
     ids=["improvement_min", "model_mae_max", "mae_delta_max", "median-improvement_min",
-         "median_residual_max", "improvement_max"],
+         "median_residual_max", "improvement_max", "vcg-all-nan", "median-all-nan",
+         "dictator-all-nan", "nan-improvement", "nan-model_mae", "nan-first-mae_delta",
+         "nan-last-mae_delta", "nan-median_residual"],
 )
 def test_each_threshold_fails_its_report_alone(mechanism, change):
     passing = {"mechanism": mechanism, **PASSING[mechanism]}

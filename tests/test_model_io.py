@@ -16,7 +16,16 @@ from mechscm.examples import (
     shared_utility_pair,
     shared_utility_tables,
 )
-from mechscm.model_io import load_model, model_from_dict, model_to_dict, save_model
+from mechscm.model_io import (
+    decode_domain,
+    decode_value,
+    encode_domain,
+    encode_value,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,3 +139,31 @@ def test_round_trip_preserves_solution_distributions_on_fuzz_models(seed, index)
         got = solution_distributions(reloaded, iv)
         want = solution_distributions(low, iv)
         assert [d.atoms for d in got] == [d.atoms for d in want]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: encode_value([1]),
+            TypeError,
+            r"value \[1\] is not serializable",
+            id="encode-value",
+        ),
+        pytest.param(
+            lambda: decode_value({"x": 1}), ValueError, "unknown value encoding", id="decode-value"
+        ),
+        pytest.param(
+            lambda: encode_domain((0, 1)), TypeError, "is not serializable", id="encode-domain"
+        ),
+        pytest.param(
+            lambda: decode_domain({"kind": "interval"}),
+            ValueError,
+            "unknown domain kind 'interval'",
+            id="decode-domain",
+        ),
+    ],
+)
+def test_codecs_reject_what_they_cannot_represent(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

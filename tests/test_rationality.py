@@ -399,3 +399,38 @@ def test_totality_of_response_sets():
             assert best_response_set(pair.low, TD1, ctx, shared)
             belief = BeliefModel((TD2,), (shared,))
             assert first_mover_response(pair.low, TD1, belief, shared, ctx)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda u: BeliefModel((TD2,), ()), "equal length", id="belief-lengths"),
+        pytest.param(
+            lambda u: BeliefModel((TD2, TD2), (u, u)), "must be distinct", id="belief-repeats"
+        ),
+        pytest.param(
+            lambda u: is_agent(
+                shared_utility_pair("br").low, TD1, RationalityRelation.best_response(TD2), u, []
+            ),
+            "bound to a different target",
+            id="is_agent-other-target",
+        ),
+        pytest.param(
+            lambda u: first_mover_response(
+                shared_utility_pair("br").low, TD1, None, u, Setting({})
+            ),
+            "requires a belief model",
+            id="first-mover-no-belief",
+        ),
+        pytest.param(
+            lambda u: first_mover_response(
+                shared_utility_pair("br").low, TD1, BeliefModel((TD1,), (u,)), u, Setting({})
+            ),
+            "must not list the target itself",
+            id="first-mover-self-belief",
+        ),
+    ],
+)
+def test_invalid_beliefs_and_relations_raise_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(UtilityFn.of_var(obj("U")))

@@ -10,6 +10,9 @@ from mechscm.voting import (
     vcg_params_block,
 )
 from mechscm.surrogate import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DegenerateDesign,
     DeltaEstimate,
     GroundTruthSet,
@@ -224,11 +227,11 @@ def test_adam_step_matches_per_layer_reference():
         grad = rng.normal(0.0, 1.0, size=net.params.size) * rng.uniform(0.0, 2.0)
         gw, gb = net.layers(grad)
         for i, (p, g) in enumerate(zip(ref, gw + gb)):
-            m_ref[i] = cfg.beta1 * m_ref[i] + (1 - cfg.beta1) * g
-            v_ref[i] = cfg.beta2 * v_ref[i] + (1 - cfg.beta2) * (g * g)
-            m_hat = m_ref[i] / (1 - cfg.beta1**t)
-            v_hat = v_ref[i] / (1 - cfg.beta2**t)
-            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m_ref[i] = ADAM_BETA1 * m_ref[i] + (1 - ADAM_BETA1) * g
+            v_ref[i] = ADAM_BETA2 * v_ref[i] + (1 - ADAM_BETA2) * (g * g)
+            m_hat = m_ref[i] / (1 - ADAM_BETA1**t)
+            v_hat = v_ref[i] / (1 - ADAM_BETA2**t)
+            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         adam_step(net.params, grad, state, cfg, t)
     assert all(np.array_equal(p, r) for p, r in zip(net.weights + net.biases, ref))
     moments = net.layers(state[0])[0] + net.layers(state[0])[1]

@@ -13,7 +13,6 @@ from mechscm.voting import (
     InvalidConfig,
     NegativePreference,
     Population,
-    ParameterRanges,
     _citizen_lambdas,
     generate_population,
     median_block,
@@ -385,3 +384,39 @@ def test_median_block_raises_when_any_row_fails():
     assert exc.value.iterations == iterations.min() and exc.value.residual > 1e-6
     with pytest.raises(InvalidConfig):
         median_block(pop, lam, max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=pop.a[1:], b=pop.b, d=pop.d),
+            "^a must have one entry per citizen",
+            id="population-shape",
+        ),
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=pop.a, b=-pop.b, d=pop.d),
+            "b > 0",
+            id="population-sign",
+        ),
+        pytest.param(
+            lambda pop: zero_on_country_interventions(pop, pop.n_countries, seed=0),
+            "no country 3",
+            id="unknown-country",
+        ),
+        pytest.param(
+            lambda pop: Intervention(np.zeros(pop.total - 1)).validate_for(pop),
+            "length must equal the citizen count",
+            id="intervention-length",
+        ),
+    ],
+)
+def test_invalid_voting_inputs_raise_typed_errors(call, message):
+    with pytest.raises(InvalidConfig, match=message):
+        call(generate_population(seed=0, n_countries=3, total_citizens=30))
+
+
+def test_every_country_keeps_a_citizen_when_rounding_leaves_one_empty():
+    # largest-remainder rounding gives one country no citizen at this seed;
+    # the rebalancing moves one over from the largest country
+    assert generate_population(2, 5, 6).sizes == (1, 1, 1, 1, 2)
