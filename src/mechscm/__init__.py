@@ -27,7 +27,6 @@ from mechscm.core import (
     distribution,
     induce_scm,
     mech,
-    noise,
     obj,
     solution_distributions,
     solution_set,

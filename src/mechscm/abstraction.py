@@ -16,8 +16,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from mechscm.core import (
     EMPTY_SETTING,
     Distribution,
@@ -157,23 +155,12 @@ class AllOfDomains:
 
     domains: Mapping[VarId, Domain]
 
-    def _vars(self) -> tuple:
-        return tuple(sorted(self.domains, key=lambda v: v.name))
-
     def contains(self, setting: Setting) -> bool:
         items, dom = setting._items, self.domains
         return items.keys() == dom.keys() and all(dom[v].contains(x) for v, x in items.items())
 
     def enumerate(self) -> tuple:
-        return tuple(all_settings(self._vars(), self.domains))
-
-    def sample(self, rng) -> Setting:
-        vs = self._vars()
-        out = {}
-        for v in vs:
-            values = self.domains[v].enumerate()
-            out[v] = values[int(rng.integers(len(values)))]
-        return Setting(out)
+        return tuple(all_settings(sorted(self.domains, key=lambda v: v.name), self.domains))
 
 
 @dataclass(frozen=True)
@@ -185,9 +172,6 @@ class ExplicitSettings:
 
     def enumerate(self) -> tuple:
         return self.settings
-
-    def sample(self, rng) -> Setting:
-        return self.settings[int(rng.integers(len(self.settings)))]
 
 
 @dataclass(frozen=True)
@@ -402,29 +386,19 @@ class StrongReport:
         return self.ok
 
 
-def check_strong(
-    w: Mapping[VarId, OmegaVar],
-    high_domains: Mapping[VarId, Domain],
-    n: Optional[int] = None,
-    seed: int = 0,
-) -> StrongReport:
-    """Surjectivity of each per-variable omega onto its high-level domain.
-    With ``n=None`` both sides are enumerated (discretized for continuous
-    domains); with ``n=k`` the image is that of ``k`` preimages sampled from
-    ``seed``, and coverage is the fraction of high values it hits.
-    ValueError when ``high_domains`` lacks a variable of ``w``."""
-    check_sample_count(n)
+def check_strong(w: Mapping[VarId, OmegaVar], high_domains: Mapping[VarId, Domain]) -> StrongReport:
+    """Surjectivity of each per-variable omega onto its high-level domain:
+    the image of every defined preimage against every high value, both sides
+    enumerated (discretized for continuous domains); coverage is the fraction
+    of high values hit.  ValueError when ``high_domains`` lacks a variable of
+    ``w``."""
     gaps: dict = {}
     coverage: dict = {}
     for high_var, ov in sorted(w.items(), key=lambda kv: kv[0].name):
         if high_var not in high_domains:
             raise ValueError(f"no high-level domain given for {high_var!r}")
         targets = high_domains[high_var].enumerate()
-        if n is None:
-            image = [ov.fn(s) for s in ov.defined.enumerate()]
-        else:
-            rng = np.random.default_rng(seed)
-            image = [ov.fn(ov.defined.sample(rng)) for _ in range(n)]
+        image = [ov.fn(s) for s in ov.defined.enumerate()]
         missing = tuple(
             tv for tv in targets if not any(values_close(tv, iv) for iv in image)
         )

@@ -1,6 +1,6 @@
 """Mechanized structural causal models.
 
-The building blocks: variables split into object / mechanism / noise layers,
+The building blocks: variables split into object and mechanism layers,
 settings (partial assignments of tagged values), a deterministic possibly
 cyclic model over the mechanism layer, a parameterized acyclic model over the
 object layer, and the pairing of the two.  Solving the mechanism layer under a
@@ -26,7 +26,6 @@ __all__ = [
     "VarId",
     "obj",
     "mech",
-    "noise",
     "Domain",
     "FiniteDomain",
     "RealBox",
@@ -99,23 +98,22 @@ class NoConvergence(MechSCMError):
 class Layer(enum.Enum):
     OBJECT = "object"
     MECHANISM = "mechanism"
-    NOISE = "noise"
 
 
 @dataclass(frozen=True, slots=True)
 class VarId:
     """A variable identifier: a name plus the layer it lives on.
 
-    An object variable, its mechanism variable, and its noise variable share
-    the same name and differ only in layer, which encodes the one-to-one
-    pairing between layers.
+    An object variable and its mechanism variable share the same name and
+    differ only in layer, which encodes the one-to-one pairing between the
+    two layers.
     """
 
     name: str
     layer: Layer
     # cached, not compared: the dataclass hash, hash((name, layer)), since
     # Layer hashes in Python; the order key that canonical tables sort by;
-    # and the paired variables on the other layers (see paired)
+    # and the paired variable on the other layer (see paired)
     _hash: int = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
     _pairs: dict = field(init=False, repr=False, compare=False)
@@ -142,11 +140,9 @@ class VarId:
             found = self._pairs[layer.value] = VarId(self.name, layer)
         return found
 
-    def __repr__(self) -> str:  # compact: A, ~A, eps(A)
+    def __repr__(self) -> str:  # compact: A, ~A
         if self.layer is Layer.MECHANISM:
             return f"~{self.name}"
-        if self.layer is Layer.NOISE:
-            return f"eps({self.name})"
         return self.name
 
 
@@ -156,10 +152,6 @@ def obj(name: str) -> VarId:
 
 def mech(name: str) -> VarId:
     return VarId(name, Layer.MECHANISM)
-
-
-def noise(name: str) -> VarId:
-    return VarId(name, Layer.NOISE)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +468,13 @@ def _topological_order(variables: Sequence[VarId], parents: Mapping) -> Optional
 
 @dataclass(frozen=True)
 class DeterministicSCM:
-    """A set of total functions, one per variable, each from settings of all
-    the other variables to the variable's own domain.  Cycles are allowed;
-    ``parents`` optionally declares the true dependency structure, which
-    enables the forward solver when the declared graph is acyclic.
+    """A set of functions, one per variable, each from settings of the other
+    variables to the variable's own domain.  Cycles are allowed; ``parents``
+    optionally declares the true dependency structure, which enables the
+    forward solver when the declared graph is acyclic.  The enumerating solver
+    calls each function on all the other variables; the forward solver, on
+    the values resolved before it in topological order, which include its
+    declared parents.
 
     ``analytic_solutions`` may map an intervention to a registered closed-form
     solution set (or return None to fall back to the generic solvers).
@@ -580,31 +575,18 @@ def solve_acyclic(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) ->
         if v in fixed:
             values[v] = fixed[v]
         else:
-            # Total function of all other variables; unresolved ones are only
-            # allowed when the declared parents say they are irrelevant.
-            ctx = dict(values)
-            for w in m.others(v):
-                if w not in ctx:
-                    ctx[w] = _UNRESOLVED
-            values[v] = m.assignments[v](Setting._own(ctx))
+            # the values resolved so far, which include v's declared parents
+            values[v] = m.assignments[v](Setting._own(dict(values)))
     return Setting._own(values)
-
-
-class _Unresolved:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<unresolved>"
-
-
-_UNRESOLVED = _Unresolved()
 
 
 def solution_set(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) -> frozenset:
     """Solution set under an intervention: a registered analytic set if
     there is one, else the forward solver on declared acyclic structure, else
-    enumeration."""
+    enumeration.  ValueError for an intervention outside the model's domains,
+    whichever answers."""
     if m.analytic_solutions is not None:
+        _check_intervention(m, intervention)
         registered = m.analytic_solutions(intervention)
         if registered is not None:
             return frozenset(registered)

@@ -101,7 +101,6 @@ class ExperimentResult:
     thresholds_ok: bool
     out_dir: Path
     artifacts: dict
-    duration: float
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -228,7 +227,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         _write_csv(out_dir / name, header, rows)
     _atomic_write_json(out_dir / "report.json", report)
 
-    duration = time.perf_counter() - start
     artifacts = {name: _sha256(out_dir / name) for name in [*tables, "report.json"]}
     manifest = {
         "config": asdict(cfg),
@@ -236,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         "stage_seconds": stage_seconds,
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "artifacts": artifacts,
-        "duration_seconds": duration,
+        "duration_seconds": time.perf_counter() - start,
         "thresholds_ok": ok,
     }
     _atomic_write_json(out_dir / "manifest.json", manifest)
@@ -246,5 +244,4 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         thresholds_ok=ok,
         out_dir=out_dir,
         artifacts=artifacts,
-        duration=duration,
     )

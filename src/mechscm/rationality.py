@@ -208,8 +208,6 @@ class NontrivialVerdict:
     is_nontrivial: bool
     witness: Optional[tuple]  # pair of contexts with differing conditionals
     agent_verdict: AgentVerdict
-    flagged_configs: tuple = ()  # parent configs seen with positive
-    # probability under one context but not another; excluded from comparison
 
     def __bool__(self) -> bool:
         return self.is_nontrivial
@@ -224,8 +222,8 @@ def is_nontrivial_agent(
 ) -> NontrivialVerdict:
     """Agent whose induced conditional P(S | PA_S) actually varies across the
     supplied contexts.  Conditionals are compared only on parent
-    configurations with positive probability under both contexts; asymmetric
-    configurations are flagged, not counted as differences."""
+    configurations with positive probability under both contexts; the others
+    are not counted as differences."""
     contexts = list(contexts)
     if not contexts:
         raise ValueError("non-triviality needs at least one context")
@@ -238,7 +236,6 @@ def is_nontrivial_agent(
         full = ctx.set(target, m.mech_model.assignments[target](ctx))
         return _conditional_table(m, full, target_obj)
 
-    flagged = set()
     first_ctx = contexts[0]
     first = table_for(first_ctx)
     # Linear witness search against the first context's conditional; exact
@@ -246,9 +243,8 @@ def is_nontrivial_agent(
     for ctx in contexts[1:]:
         t = table_for(ctx)
         if _tables_differ(first, t):
-            return NontrivialVerdict(True, (first_ctx, ctx), verdict, tuple(sorted(flagged, key=canon_key)))
-        flagged.update(set(first).symmetric_difference(set(t)))
-    return NontrivialVerdict(False, None, verdict, tuple(sorted(flagged, key=canon_key)))
+            return NontrivialVerdict(True, (first_ctx, ctx), verdict)
+    return NontrivialVerdict(False, None, verdict)
 
 
 def first_mover_response(
@@ -317,7 +313,8 @@ def first_mover_response(
 def has_independent_mechanism(m: DeterministicSCM, target: VarId) -> bool:
     """True when the target's assignment returns one fixed value in every
     context (enumerable context space required)."""
-    values = (m.assignments[target](ctx) for ctx in _contexts(m, target))
+    check_target(m, target)
+    values = (m.assignments[target](ctx) for ctx in all_settings(m.others(target), m.domains))
     reference = next(values)  # the context space is a non-empty product
     return all(values_close(value, reference) for value in values)
 
@@ -325,9 +322,5 @@ def has_independent_mechanism(m: DeterministicSCM, target: VarId) -> bool:
 def enumerate_contexts(m: MechanizedSCM, target: VarId):
     """All settings of the mechanism variables other than the target, over
     their enumerable domains, in deterministic order."""
-    return _contexts(m.mech_model, target)
-
-
-def _contexts(m: DeterministicSCM, target: VarId):
-    check_target(m, target)
-    return all_settings(m.others(target), m.domains)
+    check_target(m.mech_model, target)
+    return all_settings(m.mech_model.others(target), m.mech_model.domains)

@@ -99,8 +99,6 @@ class TrainConfig:
 class DeltaEstimate:
     delta_hat: np.ndarray
     method: str  # "regression" | "plug_in"
-    slope_se: Optional[np.ndarray] = None
-    fit_points: Optional[tuple] = None  # per country: (Q_W array, q_c array)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +170,8 @@ class OmegaNetwork:
         return grad
 
 
-def forward(net: OmegaNetwork, lam: np.ndarray | Intervention) -> np.ndarray:
+def forward(net: OmegaNetwork, lam: np.ndarray) -> np.ndarray:
     """Per-country ratio estimates for one intervention vector (or a batch)."""
-    if isinstance(lam, Intervention):
-        lam = lam.lam
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 1 and lam.shape[0] != net.widths[0]:
         raise ValueError(
@@ -314,8 +310,6 @@ def estimate_delta(
 
     children = _seed_sequence(seed).spawn(pop.n_countries)
     delta = np.empty(pop.n_countries)
-    ses = np.empty(pop.n_countries)
-    points = []
     for c in range(pop.n_countries):
         ivs = zero_on_country_interventions(pop, c, children[c], n=DELTA_PROBES)
         qs = _solve_rows(mechanism, pop, ivs)[0]
@@ -326,15 +320,8 @@ def estimate_delta(
             raise DegenerateDesign(
                 f"Q_W variance {x_var:.3g} across probe interventions for country {c}"
             )
-        slope = float(np.cov(x, y, ddof=0)[0, 1] / x_var)
-        delta[c] = -slope
-        resid = y - (y.mean() + slope * (x - x.mean()))
-        dof = max(len(x) - 2, 1)
-        ses[c] = float(np.sqrt(resid @ resid / dof / (len(x) * x_var)))
-        points.append((x, y))
-    return DeltaEstimate(
-        delta_hat=delta, method="regression", slope_se=ses, fit_points=tuple(points)
-    )
+        delta[c] = -float(np.cov(x, y, ddof=0)[0, 1] / x_var)
+    return DeltaEstimate(delta_hat=delta, method="regression")
 
 
 # ---------------------------------------------------------------------------

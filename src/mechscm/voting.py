@@ -91,7 +91,7 @@ class Population:
         for arr, name in ((self.a, "a"), (self.b, "b"), (self.d, "d")):
             if arr.shape != (n,):
                 raise InvalidConfig(f"{name} must have one entry per citizen")
-        if np.any(self.a < 0) or np.any(self.b <= 0) or np.any(self.d < 0):
+        if not (np.all(self.a >= 0) and np.all(self.b > 0) and np.all(self.d >= 0)):
             raise InvalidConfig("require a >= 0, b > 0, d >= 0")
         # Each country's first citizen index.
         object.__setattr__(self, "offsets", tuple(itertools.accumulate(self.sizes, initial=0))[:-1])
@@ -116,7 +116,7 @@ class Intervention:
     lam: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.lam < -1e-15) or np.any(self.lam > LAMBDA_MAX + 1e-12):
+        if not (np.all(self.lam >= -1e-15) and np.all(self.lam <= LAMBDA_MAX + 1e-12)):
             raise InvalidConfig(f"lambda values must lie in [0, {LAMBDA_MAX}]")
 
     @classmethod
@@ -239,7 +239,7 @@ def _preferences(pop: Population, lam: np.ndarray) -> np.ndarray:
     if lam.ndim != 2 or lam.shape[1] != pop.total:
         raise InvalidConfig("intervention length must equal the citizen count")
     x = pop.a - lam
-    if np.any(x < -1e-12):
+    if not np.all(x >= -1e-12):
         raise NegativePreference("a - lambda must stay non-negative")
     return x
 

@@ -182,6 +182,44 @@ def copy_cycle():
     )
 
 
+def test_solve_acyclic_passes_each_assignment_the_values_resolved_before_it():
+    A, B, C = mech("A"), mech("B"), mech("C")
+    seen = {}
+
+    def recorded(v, fn):
+        def assign(ctx):
+            seen[v] = ctx
+            return fn(ctx)
+
+        return assign
+
+    dom = FiniteDomain((0, 1, 2))
+    m = DeterministicSCM(
+        variables=(C, B, A),  # declaration order is not resolution order
+        domains={A: dom, B: dom, C: dom},
+        assignments={
+            A: recorded(A, lambda c: 1),
+            B: recorded(B, lambda c: c[A]),
+            C: recorded(C, lambda c: c[A] + c[B]),
+        },
+        parents={B: frozenset({A}), C: frozenset({A, B})},
+    )
+    assert solve_acyclic(m) == Setting({A: 1, B: 1, C: 2})
+    assert seen == {A: EMPTY_SETTING, B: Setting({A: 1}), C: Setting({A: 1, B: 1})}
+    seen.clear()
+    assert solve_acyclic(m, Setting({B: 0})) == Setting({A: 1, B: 0, C: 1})
+    assert seen == {A: EMPTY_SETTING, C: Setting({A: 1, B: 0})}
+    # a variable resolved later is absent, not a placeholder
+    reads_later = DeterministicSCM(
+        variables=(A, B),
+        domains={A: dom, B: dom},
+        assignments={A: lambda c: c[B], B: lambda c: 0},
+        parents={},
+    )
+    with pytest.raises(KeyError):
+        solve_acyclic(reads_later)
+
+
 def test_enumerate_copy_cycle_matches_bruteforce():
     m = copy_cycle()
     A, B = m.variables

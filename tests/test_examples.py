@@ -43,6 +43,14 @@ def test_bos_three_equilibria(bos):
     assert len(sols) == 3
 
 
+def test_solution_set_checks_the_intervention_before_the_analytic_set(bos):
+    # the registered closed form answers only interventions inside the
+    # domains, as the generic solvers do
+    with pytest.raises(ValueError, match="outside the domain of ~U1"):
+        solution_set(bos.mech_model, Setting({TU1: BOS_PAYOFF_2}))
+    assert len(solution_set(bos.mech_model, Setting({TU1: BOS_PAYOFF_1}))) == 3
+
+
 def test_bos_expected_payoffs_at_equilibria(bos):
     u1 = UtilityFn.of_var(obj("U1"))
     u2 = UtilityFn.of_var(obj("U2"))

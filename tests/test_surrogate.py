@@ -56,8 +56,6 @@ def test_vcg_delta_regression_exact(seed):
     true = vcg_params_block(pop, np.zeros((1, pop.total)))[1]
     assert est.method == "regression"
     assert np.max(np.abs(est.delta_hat - true)) <= 1e-9
-    assert est.fit_points is not None and len(est.fit_points) == 4
-    assert np.all(est.slope_se >= 0.0)
 
 
 def test_single_country_design_degenerate():

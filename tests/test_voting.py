@@ -416,6 +416,41 @@ def test_invalid_voting_inputs_raise_typed_errors(call, message):
         call(generate_population(seed=0, n_countries=3, total_citizens=30))
 
 
+def _with_nan(values: np.ndarray) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flat[out.size // 2] = np.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda pop: Intervention(_with_nan(np.zeros(pop.total))), InvalidConfig, id="intervention"),
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=_with_nan(pop.a), b=pop.b, d=pop.d),
+            InvalidConfig,
+            id="population-a",
+        ),
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=pop.a, b=_with_nan(pop.b), d=pop.d),
+            InvalidConfig,
+            id="population-b",
+        ),
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=pop.a, b=pop.b, d=_with_nan(pop.d)),
+            InvalidConfig,
+            id="population-d",
+        ),
+        pytest.param(lambda pop: vcg_block(pop, _with_nan(np.zeros((2, pop.total)))), NegativePreference, id="raw-block"),
+    ],
+)
+def test_nan_voting_inputs_raise_typed_errors(call, error):
+    # every range check is written so that NaN fails it, as an
+    # out-of-range value does
+    with pytest.raises(error):
+        call(generate_population(seed=0, n_countries=3, total_citizens=30))
+
+
 def test_every_country_keeps_a_citizen_when_rounding_leaves_one_empty():
     # largest-remainder rounding gives one country no citizen at this seed;
     # the rebalancing moves one over from the largest country
