@@ -16,6 +16,14 @@ the benchmark in ``perfbench/`` calls them.  ``intervention_blocks`` stacks
 at most ``BLOCK_ROWS`` = 64 distinct lambda rows per call, which bounds the
 (B, N) temporaries; ``dictator_block`` may share one lambda row across any
 number of seeds.  Every row's result is bit-identical to solving it alone.
+
+The median iteration keeps, per row and country, the citizen whose vote was
+the lower median on the last iteration.  One count of the smaller votes per
+country checks each of them; only the countries where the count is off are
+partitioned again.  Every median taken is either a partition's element at the
+lower-median rank or a candidate whose exact rank was counted, which is the
+same element, so every level, iteration count and step norm is bit-identical
+to partitioning every country on every iteration.
 """
 
 from __future__ import annotations
@@ -79,7 +87,11 @@ class NegativePreference(ValueError):
 @dataclass(frozen=True)
 class Population:
     """Fixed country sizes and per-citizen utility parameters, stored as flat
-    arrays over citizens in country-block order."""
+    arrays over citizens in country-block order.  Derived once: each
+    country's first citizen index ``offsets``, its sums of b and d
+    (``b_sums``, ``d_sums``) and its lower-median rank (size - 1) // 2
+    (``median_ranks``), and the per-citizen vote constants ``twice_d`` = 2d
+    and ``twice_bd`` = 2(b + d); so a, b and d must not change in place."""
 
     sizes: tuple
     a: np.ndarray
@@ -88,13 +100,25 @@ class Population:
 
     def __post_init__(self):
         n = sum(self.sizes)
+        if not all(size >= 1 for size in self.sizes):
+            raise InvalidConfig("every country needs at least one citizen")
         for arr, name in ((self.a, "a"), (self.b, "b"), (self.d, "d")):
             if arr.shape != (n,):
                 raise InvalidConfig(f"{name} must have one entry per citizen")
-        if not (np.all(self.a >= 0) and np.all(self.b > 0) and np.all(self.d >= 0)):
-            raise InvalidConfig("require a >= 0, b > 0, d >= 0")
-        # Each country's first citizen index.
-        object.__setattr__(self, "offsets", tuple(itertools.accumulate(self.sizes, initial=0))[:-1])
+        finite = all(np.all(np.isfinite(arr)) for arr in (self.a, self.b, self.d))
+        if not (finite and np.all(self.a >= 0) and np.all(self.b > 0) and np.all(self.d >= 0)):
+            raise InvalidConfig("require finite a >= 0, b > 0, d >= 0")
+        offsets = tuple(itertools.accumulate(self.sizes, initial=0))[:-1]
+        slices = [slice(start, start + size) for start, size in zip(offsets, self.sizes)]
+        for name, value in (
+            ("offsets", offsets),
+            ("b_sums", np.array([np.sum(self.b[sl]) for sl in slices])),
+            ("d_sums", np.array([np.sum(self.d[sl]) for sl in slices])),
+            ("median_ranks", np.array([(size - 1) // 2 for size in self.sizes])),
+            ("twice_d", 2.0 * self.d),
+            ("twice_bd", 2.0 * (self.b + self.d)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_countries(self) -> int:
@@ -241,6 +265,8 @@ def _preferences(pop: Population, lam: np.ndarray) -> np.ndarray:
     x = pop.a - lam
     if not np.all(x >= -1e-12):
         raise NegativePreference("a - lambda must stay non-negative")
+    if not np.all(np.isfinite(x)):
+        raise InvalidConfig("lambda values must be finite")
     return x
 
 
@@ -253,10 +279,8 @@ def _closed_form(alpha: np.ndarray, delta: np.ndarray) -> tuple:
 def vcg_params_block(pop: Population, lam: np.ndarray) -> tuple:
     """Ground-truth ratios under truthful aggregation: alpha (B, C), delta (C,)."""
     x = _preferences(pop, lam)
-    slices = [pop.country_slice(c) for c in range(pop.n_countries)]
-    B = np.array([np.sum(pop.b[sl]) for sl in slices])
-    A = np.stack([x[:, sl].sum(axis=1) for sl in slices], axis=1)
-    return A / B, np.array([np.sum(pop.d[sl]) for sl in slices]) / B
+    A = np.stack([x[:, pop.country_slice(c)].sum(axis=1) for c in range(pop.n_countries)], axis=1)
+    return A / pop.b_sums, pop.d_sums / pop.b_sums
 
 
 def vcg_block(pop: Population, lam: np.ndarray) -> tuple:
@@ -270,22 +294,41 @@ def vcg_ne(pop: Population, iv: Intervention) -> NEResult:
     return NEResult(q=q[0], Q_W=float(total[0]))
 
 
-def _median_targets(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Each citizen votes for their individually optimal pollution level given
-    the other countries' current total; the country target is the lower
-    median of its citizens' votes.  Per row of x = a - lambda and q (B, C)."""
+def _votes(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each citizen's individually optimal pollution level given the other
+    countries' current total, per row of x = a - lambda and q (B, C)."""
     # votes = (x - 2d * (sum(q) - q_country)) / (2 (b + d)), in one buffer
     votes = np.repeat(q, pop.sizes, axis=1)
     np.subtract(q.sum(axis=1, keepdims=True), votes, out=votes)
-    votes *= 2.0 * pop.d
+    votes *= pop.twice_d
     np.subtract(x, votes, out=votes)
-    votes /= 2.0 * (pop.b + pop.d)
-    targets = np.empty(q.shape)
-    for c, size in enumerate(pop.sizes):
-        block = votes[:, pop.country_slice(c)]
-        block.partition((size - 1) // 2, axis=1)
-        targets[:, c] = block[:, (size - 1) // 2]
-    return targets
+    votes /= pop.twice_bd
+    return votes
+
+
+def _lower_medians(pop: Population, votes: np.ndarray, median: np.ndarray | None = None) -> tuple:
+    """Per row of votes (B, N), each country's lower median vote and the
+    index of a citizen casting it: (targets (B, C), indices (B, C)).
+
+    ``median`` holds candidate indices, updated in place.  A candidate whose
+    vote has exactly ``median_ranks`` smaller votes in its country is the
+    element ``np.partition`` puts at that rank (NaN sorts last, so a NaN
+    candidate never passes); only the failing (row, country) pairs are
+    partitioned again.  Without candidates every pair is."""
+    rows = np.arange(len(votes))[:, None]
+    if median is None:
+        median = np.empty((len(votes), pop.n_countries), dtype=np.intp)
+        stale = np.ones(median.shape, dtype=bool)
+    else:
+        candidates = votes[rows, median]
+        below = np.add.reduceat(
+            votes < np.repeat(candidates, pop.sizes, axis=1), pop.offsets, axis=1, dtype=np.intp
+        )
+        stale = (below != pop.median_ranks) | np.isnan(candidates)
+    for c in np.flatnonzero(stale.any(axis=0)):
+        k, sl, failed = pop.median_ranks[c], pop.country_slice(c), np.flatnonzero(stale[:, c])
+        median[failed, c] = sl.start + np.argpartition(votes[failed, sl], k, axis=1)[:, k]
+    return votes[rows, median], median
 
 
 def median_block(
@@ -295,22 +338,29 @@ def median_block(
     ``MEDIAN_DAMPING``, from all pollution levels zero, on every row at once;
     a row stops at the first update step of 2-norm at most ``tol``.  Returns
     the levels (B, C), each row's iteration count and final step norm;
-    NoConvergence if any row has not stopped after ``max_iter`` iterations."""
+    NoConvergence if any row has not stopped after ``max_iter`` iterations.
+    Each iteration partitions only the countries whose median citizen of the
+    last iteration fails its rank count (``_lower_medians``)."""
     if max_iter < 1:
         raise InvalidConfig("need max_iter >= 1")
+    if not tol >= 0:
+        raise InvalidConfig("need tol >= 0")
     x = _preferences(pop, lam)
     n = len(x)
     levels, iterations, norms = np.empty((n, pop.n_countries)), np.empty(n, int), np.empty(n)
-    rows, q = np.arange(n), np.zeros(levels.shape)
+    if n == 0:
+        return levels, iterations, norms
+    rows, q, median = np.arange(n), np.zeros(levels.shape), None
     for iteration in range(1, max_iter + 1):
-        step = MEDIAN_DAMPING * (_median_targets(pop, x, q) - q)
+        targets, median = _lower_medians(pop, _votes(pop, x, q), median)
+        step = MEDIAN_DAMPING * (targets - q)
         q = q + step
         norm = np.sqrt((step * step).sum(axis=1))
         done = norm <= tol
         if done.any():
             finished = rows[done]
             levels[finished], iterations[finished], norms[finished] = q[done], iteration, norm[done]
-            rows, q, x = rows[~done], q[~done], x[~done]
+            rows, q, x, median = rows[~done], q[~done], x[~done], median[~done]
             if rows.size == 0:
                 return levels, iterations, norms
     raise NoConvergence(
@@ -332,7 +382,7 @@ def median_ne(
 def median_residuals(pop: Population, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per row, the max-norm gap between the levels q (B, C) and the median
     votes they induce."""
-    return np.abs(_median_targets(pop, _preferences(pop, lam), q) - q).max(axis=1)
+    return np.abs(_lower_medians(pop, _votes(pop, _preferences(pop, lam), q))[0] - q).max(axis=1)
 
 
 def median_fixed_point_residual(pop: Population, iv: Intervention, q: np.ndarray) -> float:

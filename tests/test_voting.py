@@ -3,11 +3,16 @@ mechanisms, each checked against independent best-response oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mechscm.core import NoConvergence
 from mechscm.surrogate import make_dataset
 from mechscm.voting import (
+    A_RANGE,
+    B_RANGE,
     BLOCK_ROWS,
+    D_RANGE,
     LAMBDA_MAX,
     Intervention,
     InvalidConfig,
@@ -18,6 +23,7 @@ from mechscm.voting import (
     median_block,
     median_fixed_point_residual,
     median_ne,
+    median_residuals,
     random_dictator_ne,
     sample_interventions,
     vcg_block,
@@ -264,6 +270,20 @@ def test_median_rejects_nonpositive_max_iter():
         median_ne(pop, Intervention.zero(pop), max_iter=0)
 
 
+def test_median_block_returns_empty_arrays_for_zero_rows():
+    pop = generate_population(seed=11, n_countries=4, total_citizens=200)
+    levels, iterations, norms = median_block(pop, np.zeros((0, pop.total)))
+    assert (levels.shape, iterations.shape, norms.shape) == ((0, 4), (0,), (0,))
+    assert iterations.dtype == int and norms.dtype == float
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9])
+def test_median_block_rejects_nan_or_negative_tol(tol):
+    pop = generate_population(seed=11, n_countries=4, total_citizens=200)
+    with pytest.raises(InvalidConfig, match="tol >= 0"):
+        median_block(pop, np.zeros((1, pop.total)), tol=tol)
+
+
 def test_median_fixed_point_residual_small():
     pop = generate_population(seed=11)
     for iv in sample_interventions(pop, seed=12, n=3):
@@ -327,25 +347,33 @@ def test_dictator_average_approaches_population_mean_behavior():
 # Block solvers against the row-by-row solvers they replaced
 
 
+def _sorted_medians(pop, lam, q):
+    """Each country's lower median of the votes that levels q induce under
+    the lambdas lam, by sorting."""
+    sl = [pop.country_slice(c) for c in range(pop.n_countries)]
+    q_minus = float(np.sum(q)) - np.repeat(q, pop.sizes)
+    votes = (pop.a - lam - 2.0 * pop.d * q_minus) / (2.0 * (pop.b + pop.d))
+    return np.array([np.sort(votes[s])[(len(votes[s]) - 1) // 2] for s in sl])
+
+
 def _row_by_row(mechanism, pop, interventions, seeds):
     """Each intervention solved alone with per-country sums, a sorted lower
-    median and np.linalg.norm: (levels, median iteration counts)."""
+    median and the step's 2-norm: (levels, median iteration counts, median
+    step norms)."""
     sl = [pop.country_slice(c) for c in range(pop.n_countries)]
-    country = np.concatenate([np.full(s.stop - s.start, c) for c, s in enumerate(sl)])
-    levels, iterations = [], []
+    levels, iterations, norms = [], [], []
     for iv, seed in zip(interventions, seeds):
         if mechanism == "median":
             q = np.zeros(pop.n_countries)
             for iteration in range(1, 10_001):
-                q_minus = float(np.sum(q)) - q[country]
-                votes = (pop.a - iv.lam - 2.0 * pop.d * q_minus) / (2.0 * (pop.b + pop.d))
-                targets = np.array([np.sort(votes[s])[(len(votes[s]) - 1) // 2] for s in sl])
-                step = 0.3 * (targets - q)
+                step = 0.3 * (_sorted_medians(pop, iv.lam, q) - q)
                 q = q + step
-                if float(np.linalg.norm(step)) <= 1e-6:
+                norm = float(np.sqrt(np.sum(step * step)))
+                if norm <= 1e-6:
                     break
             levels.append(q)
             iterations.append(iteration)
+            norms.append(norm)
             continue
         if mechanism == "vcg":
             b = np.array([np.sum(pop.b[s]) for s in sl])
@@ -358,7 +386,7 @@ def _row_by_row(mechanism, pop, interventions, seeds):
             delta = pop.d[idx] / pop.b[idx]
         total = float(0.5 * np.sum(alpha) / (1.0 + np.sum(delta)))
         levels.append(alpha / 2.0 - delta * total)
-    return np.stack(levels), iterations
+    return np.stack(levels), iterations, np.array(norms)
 
 
 @pytest.mark.parametrize("mechanism", ["vcg", "median", "dictator"])
@@ -367,11 +395,49 @@ def test_block_ground_truth_matches_row_by_row(mechanism):
     n = BLOCK_ROWS + 7  # a full block and a partial one
     data = make_dataset(mechanism, pop, n, 21)
     seeds = np.random.SeedSequence(21).spawn(2)[1].spawn(n)
-    levels, iterations = _row_by_row(mechanism, pop, data.interventions, seeds)
+    levels, iterations, norms = _row_by_row(mechanism, pop, data.interventions, seeds)
     assert data.q.tobytes() == levels.tobytes()
     if mechanism == "median":
         assert data.iterations.tolist() == iterations
+        assert data.step_norms.tobytes() == norms.tobytes()
         assert np.all(data.step_norms <= 1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=60),
+    n_rows=st.sampled_from([1, 2, 71]),
+    duplicated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[1, 2, 3] * 18, n_rows=1, duplicated=True, seed=0)
+@example(sizes=[1, 2, 5, 40, 17], n_rows=71, duplicated=True, seed=1)
+@example(sizes=[2] * 50, n_rows=2, duplicated=False, seed=2)
+def test_median_solvers_match_the_sorted_median_oracle_bytewise(sizes, n_rows, duplicated, seed):
+    # the checked median selection takes the element a sort puts at the
+    # lower-median rank, so ties and tiny countries change no byte; at most
+    # 600 (row, country) pairs keep the oracle fast
+    sizes = sizes[: max(1, 600 // n_rows)]
+    n, size_of = sum(sizes), np.repeat(sizes, sizes)
+    rng = np.random.default_rng(seed)
+    start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    # a duplicated citizen copies a random member of their own country
+    source = start + rng.integers(0, size_of) if duplicated else np.arange(n)
+    pop = Population(
+        sizes=tuple(sizes),
+        a=rng.uniform(*A_RANGE, size=n)[source],
+        b=(rng.uniform(*B_RANGE, size=n) / size_of)[source],
+        d=rng.uniform(*D_RANGE, size=n)[source] / len(sizes),
+    )
+    lam = rng.uniform(0.0, LAMBDA_MAX, size=(n_rows, n))[:, source]
+    levels, iterations, norms = median_block(pop, lam)
+    want = _row_by_row("median", pop, [Intervention(row) for row in lam], [None] * n_rows)
+    assert levels.tobytes() == want[0].tobytes()
+    assert iterations.tolist() == want[1]
+    assert norms.tobytes() == want[2].tobytes()
+    q = levels * rng.uniform(0.5, 1.5, size=levels.shape)
+    residuals = [np.abs(_sorted_medians(pop, row, q_row) - q_row).max() for row, q_row in zip(lam, q)]
+    assert median_residuals(pop, lam, q).tobytes() == np.array(residuals).tobytes()
 
 
 def test_median_block_raises_when_any_row_fails():
@@ -400,6 +466,11 @@ def test_median_block_raises_when_any_row_fails():
             id="population-sign",
         ),
         pytest.param(
+            lambda pop: Population(sizes=(0,) + pop.sizes, a=pop.a, b=pop.b, d=pop.d),
+            "every country needs at least one citizen",
+            id="empty-country",
+        ),
+        pytest.param(
             lambda pop: zero_on_country_interventions(pop, pop.n_countries, seed=0),
             "no country 3",
             id="unknown-country",
@@ -416,36 +487,46 @@ def test_invalid_voting_inputs_raise_typed_errors(call, message):
         call(generate_population(seed=0, n_countries=3, total_citizens=30))
 
 
-def _with_nan(values: np.ndarray) -> np.ndarray:
+def _with_non_finite(values: np.ndarray, bad: float) -> np.ndarray:
     out = np.array(values, dtype=float)
-    out.flat[out.size // 2] = np.nan
+    out.flat[out.size // 2] = bad
     return out
+
+
+def _non_finite_cases(bad: float, suffix: str, raw_block_error: type) -> list:
+    return [
+        pytest.param(lambda pop: Intervention(_with_non_finite(np.zeros(pop.total), bad)), InvalidConfig, id="intervention" + suffix),
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=_with_non_finite(pop.a, bad), b=pop.b, d=pop.d),
+            InvalidConfig,
+            id="population-a" + suffix,
+        ),
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=pop.a, b=_with_non_finite(pop.b, bad), d=pop.d),
+            InvalidConfig,
+            id="population-b" + suffix,
+        ),
+        pytest.param(
+            lambda pop: Population(sizes=pop.sizes, a=pop.a, b=pop.b, d=_with_non_finite(pop.d, bad)),
+            InvalidConfig,
+            id="population-d" + suffix,
+        ),
+        pytest.param(
+            lambda pop: vcg_block(pop, _with_non_finite(np.zeros((2, pop.total)), bad)), raw_block_error, id="raw-block" + suffix
+        ),
+    ]
 
 
 @pytest.mark.parametrize(
     "call, error",
-    [
-        pytest.param(lambda pop: Intervention(_with_nan(np.zeros(pop.total))), InvalidConfig, id="intervention"),
-        pytest.param(
-            lambda pop: Population(sizes=pop.sizes, a=_with_nan(pop.a), b=pop.b, d=pop.d),
-            InvalidConfig,
-            id="population-a",
-        ),
-        pytest.param(
-            lambda pop: Population(sizes=pop.sizes, a=pop.a, b=_with_nan(pop.b), d=pop.d),
-            InvalidConfig,
-            id="population-b",
-        ),
-        pytest.param(
-            lambda pop: Population(sizes=pop.sizes, a=pop.a, b=pop.b, d=_with_nan(pop.d)),
-            InvalidConfig,
-            id="population-d",
-        ),
-        pytest.param(lambda pop: vcg_block(pop, _with_nan(np.zeros((2, pop.total)))), NegativePreference, id="raw-block"),
-    ],
+    # a lambda of +inf makes a - lambda = -inf, which is negative; -inf
+    # makes it +inf, which is out of range
+    _non_finite_cases(np.nan, "", NegativePreference)
+    + _non_finite_cases(np.inf, "-inf", NegativePreference)
+    + _non_finite_cases(-np.inf, "-neg-inf", InvalidConfig),
 )
 def test_nan_voting_inputs_raise_typed_errors(call, error):
-    # every range check is written so that NaN fails it, as an
+    # every range check is written so that NaN and +-inf fail it, as an
     # out-of-range value does
     with pytest.raises(error):
         call(generate_population(seed=0, n_countries=3, total_citizens=30))
