@@ -191,6 +191,8 @@ def push_omega(a: Alignment, w: Mapping[VarId, OmegaVar], low_intervention: Sett
     into the high-level intervention; OmegaUndefined when some collection's
     setting falls outside the defined domain.  Each collection is the
     alignment's ``mech_collection`` (ValueError when it has none)."""
+    if not isinstance(low_intervention, Setting):
+        raise TypeError(f"intervention must be a Setting, got {type(low_intervention).__name__}")
     remaining = set(low_intervention._items)
     out = {}
     for high_var, ov in sorted(w.items(), key=lambda kv: kv[0].name):
@@ -480,19 +482,16 @@ def identity_maps(m: MechanizedSCM):
 
 def grid_suite(w: Mapping[VarId, OmegaVar], subset: Sequence[VarId]) -> tuple:
     """All low-level interventions on the union of the chosen high variables'
-    collections, enumerating each omega's defined domain.  ValueError when
-    ``w`` maps no chosen variable."""
+    collections, in product order over each omega's defined domain: one
+    ``union`` of a block per variable, hashed on first use; ``(EMPTY_SETTING,)``
+    for none.  ValueError when ``w`` lacks a chosen variable or blocks conflict."""
     for hv in subset:
         if hv not in w:
             raise ValueError(f"the intervention mapping has no omega for {hv!r}")
+    if not subset:
+        return (EMPTY_SETTING,)
     blocks = [w[hv].defined.enumerate() for hv in subset]
-    out = []
-    for combo in itertools.product(*blocks):
-        merged = EMPTY_SETTING
-        for block in combo:
-            merged = merged.union(block)
-        out.append(merged)
-    return tuple(out)
+    return tuple(combo[0].union(*combo[1:]) for combo in itertools.product(*blocks))
 
 
 def full_subset_suite(w: Mapping[VarId, OmegaVar], include_empty: bool = True) -> tuple:

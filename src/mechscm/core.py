@@ -332,9 +332,10 @@ class Setting(Mapping):
 
     Because every value is keyed by its owning variable, a setting is
     faithfully a set of tagged values and projection is just key filtering.
-    The public constructor hashes the setting, so an unhashable value is
-    rejected there; settings the package builds from values it already holds
-    (``_own``) compute their hash, ``hash(frozenset(items))``, on first use.
+    The public constructor, ``drop``, ``set`` and a ``union`` with a plain
+    Mapping operand hash at once, so an unhashable value is rejected there;
+    settings built from values the package already holds (``_own``: ``project``,
+    a ``union`` of Settings only) compute ``hash(frozenset(items))`` on first use.
     """
 
     __slots__ = ("_items", "_hash")
@@ -392,13 +393,22 @@ class Setting(Mapping):
         targets = set(targets)
         return Setting({v: x for v, x in self._items.items() if v not in targets})
 
-    def union(self, other: "Setting | Mapping[VarId, object]") -> "Setting":
+    def union(self, *others: "Setting | Mapping[VarId, object]") -> "Setting":
+        """This setting merged with any number of Settings or Mappings, in
+        order.  A variable keeps its first position and the last of its equal
+        values; ValueError naming it when two values differ."""
         merged = dict(self._items)
-        for v, x in dict(other).items():
-            if v in merged and merged[v] != x:
-                raise ValueError(f"conflicting values for {v!r}")
-            merged[v] = x
-        return Setting(merged)
+        owned = True
+        for other in others:
+            if isinstance(other, Setting):
+                items = other._items
+            else:
+                items, owned = dict(other), False
+            for v, x in items.items():
+                if v in merged and merged[v] != x:
+                    raise ValueError(f"conflicting values for {v!r}")
+                merged[v] = x
+        return Setting._own(merged) if owned else Setting(merged)
 
     def set(self, var: VarId, value) -> "Setting":
         merged = dict(self._items)
@@ -509,6 +519,8 @@ class DeterministicSCM:
 
 
 def _check_intervention(m: DeterministicSCM, intervention: Setting) -> None:
+    if not isinstance(intervention, Setting):
+        raise TypeError(f"intervention must be a Setting, got {type(intervention).__name__}")
     unknown = intervention._items.keys() - m._others.keys()
     if unknown:
         raise ValueError(f"intervention targets unknown variables: {unknown}")

@@ -91,7 +91,7 @@ class Population:
     country's first citizen index ``offsets``, its sums of b and d
     (``b_sums``, ``d_sums``) and its lower-median rank (size - 1) // 2
     (``median_ranks``), and the per-citizen vote constants ``twice_d`` = 2d
-    and ``twice_bd`` = 2(b + d); so a, b and d must not change in place."""
+    and ``twice_bd`` = 2(b + d); so a, b and d are kept as read-only copies."""
 
     sizes: tuple
     a: np.ndarray
@@ -102,7 +102,10 @@ class Population:
         n = sum(self.sizes)
         if not all(size >= 1 for size in self.sizes):
             raise InvalidConfig("every country needs at least one citizen")
-        for arr, name in ((self.a, "a"), (self.b, "b"), (self.d, "d")):
+        for name in ("a", "b", "d"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise InvalidConfig(f"{name} must have one entry per citizen")
         finite = all(np.all(np.isfinite(arr)) for arr in (self.a, self.b, self.d))

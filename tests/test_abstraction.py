@@ -1,6 +1,7 @@
 """Alignment maps, the distribution-set consistency check, strongness, and
 the non-emergence precondition checker."""
 
+import hashlib
 import itertools
 import math
 
@@ -87,6 +88,20 @@ def test_push_omega_actor_critic(ac):
     low_iv = Setting({mech("S"): (0.3, 0.4), mech("R"): (0.9, 0.1)})
     high_iv = push_omega(ac.alignment, ac.omega, low_iv)
     assert high_iv == Setting({mech("S*"): (0.3, 0.4), mech("R*"): (0.9, 0.1)})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, iv: push_omega(p.alignment, p.omega, iv),
+        lambda p, iv: check_abstraction(p.low, p.high, p.alignment, p.tau, p.omega, [iv]),
+    ],
+    ids=["push_omega", "check_abstraction"],
+)
+def test_plain_dict_intervention_raises_type_error(ac, call):
+    iv = {mech("S"): (0.3, 0.4), mech("R"): (0.9, 0.1)}
+    with pytest.raises(TypeError, match="intervention must be a Setting, got dict"):
+        call(ac, iv)
 
 
 def test_push_omega_empty(ac):
@@ -507,6 +522,27 @@ def test_check_strong_names_a_variable_without_domain(ac):
 def test_grid_suite_names_an_unmapped_variable(ac):
     with pytest.raises(ValueError, match="~Nope"):
         grid_suite(ac.omega, [mech("S*"), mech("Nope")])
+
+
+def test_union_and_grid_suite_edge_cases(ac):
+    with pytest.raises(TypeError, match="unhashable"):  # a plain Mapping is hashed at once
+        Setting({mech("A"): 1}).union(Setting({mech("S"): 0}), {mech("R"): [1]})
+    assert grid_suite(ac.omega, []) == (EMPTY_SETTING,)
+    with pytest.raises(ValueError, match="conflicting values for ~S$"):
+        grid_suite(ac.omega, [mech("S*"), mech("S*")])
+
+
+# sha256 over the S* x R* suite's settings in order: each one's repr and its
+# items in insertion order with their value types
+AC_GRID_DIGEST = "0ba8bdd4a711d98791a3e54f5116c55512b907714134c552ec26308ba798c1b4"
+
+
+def test_actor_critic_grid_suite_is_pinned(ac):
+    digest = hashlib.sha256()
+    for s in grid_suite(ac.omega, [mech("S*"), mech("R*")]):
+        digest.update(repr(s).encode() + b"|")
+        digest.update(repr([(v, type(x).__name__, x) for v, x in s.items()]).encode() + b"\n")
+    assert digest.hexdigest() == AC_GRID_DIGEST
 
 
 def test_sampling_checks_reject_empty_counts(ac):

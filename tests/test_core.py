@@ -1,6 +1,7 @@
 """Core model algebra: projection, solvers, induced distributions."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
@@ -110,6 +111,7 @@ def test_setting_hash_is_the_frozenset_hash_on_every_path():
     s = Setting({X1: 0, X2: (1, 2)})
     made = [
         s, s.project([X1]), s.drop([X1]), s.union({mech("X3"): 1}), s.set(X1, 1), EMPTY_SETTING,
+        s.union(Setting({mech("X3"): 1}), Setting({X1: 0})),
         sol, *contexts, *atoms, *(push_tau(pair.alignment, pair.tau, a) for a in atoms),
         push_omega(pair.alignment, pair.omega, Setting({mech("S"): (0.5, 0.5)})),
         *solve_enumerate(cycle),
@@ -160,11 +162,72 @@ def test_projection_idempotent(assignments, targets):
     assert once.vars <= targets
 
 
+def two_operand_union(s: Setting, other) -> Setting:
+    """The merge rule for one operand, always hashing the result; a left fold
+    of it is the reference for ``Setting.union``'s one-call merge."""
+    merged = dict(s._items)
+    for v, x in dict(other).items():
+        if v in merged and merged[v] != x:
+            raise ValueError(f"conflicting values for {v!r}")
+        merged[v] = x
+    return Setting(merged)
+
+
+UNION_VARS = (X1, X2, mech("X3"), obj("X1"))
+# each tuple holds equal values of other types or identities; two tuples conflict
+EQUAL_VALUES = (
+    (1, 1.0, np.float64(1.0), True), ((1, 2), (1.0, 2)), (Table((0,), (1,)), Table((0,), (1,))), ("a",)
+)
+
+
+@st.composite
+def union_operands(draw):
+    """A first mapping and up to four operands, each flagged to become a
+    Setting.  A variable's values come from one tuple of EQUAL_VALUES, one in
+    ten from any tuple, so most merges keep a later equal value and some conflict."""
+    kind = {v: draw(st.integers(0, len(EQUAL_VALUES) - 1)) for v in UNION_VARS}
+
+    def mapping() -> dict:
+        out = {}
+        for v in draw(st.lists(st.sampled_from(UNION_VARS), unique=True)):
+            stray = draw(st.integers(0, 9)) == 0
+            k = draw(st.integers(0, len(EQUAL_VALUES) - 1)) if stray else kind[v]
+            out[v] = draw(st.sampled_from(EQUAL_VALUES[k]))
+        return out
+
+    first = mapping()
+    return first, [(mapping(), draw(st.booleans())) for _ in range(draw(st.integers(0, 4)))]
+
+
 def test_setting_union_conflict():
     s = Setting({X1: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conflicting values for ~X1"):
         s.union(Setting({X1: 2}))
+    with pytest.raises(ValueError, match="conflicting values for ~X1"):
+        s.union(Setting({X2: 3}), {X1: 2})
     assert s.union(Setting({X2: 3})) == Setting({X1: 1, X2: 3})
+    assert s.union() == s
+    kept = s.union({X1: 1.0})  # of equal values the later one is kept, in the first position
+    assert type(kept[X1]) is float and list(s.union({X2: 0}, Setting({X1: 1.0}))) == [X1, X2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(union_operands())
+def test_setting_union_is_a_fold_of_the_two_operand_merge(drawn):
+    first, others = drawn
+    s = Setting(first)
+    operands = [Setting(o) if as_setting else dict(o) for o, as_setting in others]
+    try:
+        want = functools.reduce(two_operand_union, operands, s)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got_error:
+            s.union(*operands)
+        assert str(got_error.value) == str(e)
+        return
+    got = s.union(*operands)
+    assert got == want and list(got) == list(want)
+    assert all(got[v] is want[v] for v in want)
+    assert hash(got) == hash(Setting(dict(got))) == hash(want)
 
 
 # ---------------------------------------------------------------------------
@@ -834,3 +897,21 @@ def _chain_with_mechanisms(**domains):
 def test_invalid_models_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda iv: solve_enumerate(copy_cycle(), iv),
+        lambda iv: solve_acyclic(two_var_chain().mech_model, iv),
+        lambda iv: solution_set(two_var_chain().mech_model, iv),
+        lambda iv: solution_set(
+            dataclasses.replace(copy_cycle(), analytic_solutions=lambda _: None), iv
+        ),
+        lambda iv: solution_distributions(two_var_chain(), iv),
+    ],
+    ids=["solve_enumerate", "solve_acyclic", "solution_set", "analytic", "solution_distributions"],
+)
+def test_plain_dict_intervention_raises_type_error(call):
+    with pytest.raises(TypeError, match="intervention must be a Setting, got dict"):
+        call({mech("A"): 0})

@@ -201,6 +201,17 @@ def test_ne_matches_golden_section_oracle(seed):
 # VCG
 
 
+def test_population_keeps_read_only_copies():
+    a, b, d = np.array([0.5, 0.4, 0.6]), np.array([5.0, 5.0, 8.0]), np.array([0.02, 0.01, 0.03])
+    pop = Population(sizes=(2, 1), a=a, b=b, d=d)
+    for arr in (pop.a, pop.b, pop.d):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -1.0
+    a[0], b[0] = -1.0, 100.0  # the caller's arrays stay theirs to change
+    assert pop.a[0] == 0.5 and pop.b_sums.tolist() == [10.0, 8.0]
+    assert pop.b.tolist() == [5.0, 5.0, 8.0] and pop.a.dtype == a.dtype
+
+
 def test_vcg_matches_summed_coefficients():
     pop = Population(
         sizes=(2, 2),
