@@ -167,6 +167,11 @@ class AllOfDomains:
 class ExplicitSettings:
     settings: tuple
 
+    def __post_init__(self):
+        for s in self.settings:
+            if not isinstance(s, Setting):
+                raise TypeError(f"settings must be Setting instances, got {type(s).__name__}")
+
     def contains(self, setting: Setting) -> bool:
         return any(setting.close_to(s) for s in self.settings)
 

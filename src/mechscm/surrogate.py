@@ -8,10 +8,24 @@ maps the citizen-level intervention vector to per-country utility ratios,
 trained by Adam through the differentiable closed-form equilibrium so that
 predicted equilibria match ground truth.
 
-Every weight and bias of ``OmegaNetwork`` is a view into one float64 vector
-``params`` (per layer: weights row-major, then biases); gradients share the
-layout, so ``adam_step`` updates whole vectors in place.  Ground truth is
-solved ``voting.BLOCK_ROWS`` interventions at a time.
+Every weight and bias of ``OmegaNetwork`` is a view into one float32 vector
+``params`` (per layer: weights row-major, then biases); activations,
+gradients and Adam's moments are float32 in the same layout, so
+``adam_step`` updates whole vectors in place at half float64's memory
+traffic.  Float64 holds at the boundaries: each input batch is cast down
+inside ``forward_cached``, ``forward`` returns float64, and the loss, the
+closed-form equilibrium and its gradient run on the up-cast output, whose
+gradient is cast down only inside ``backward``.
+
+numpy has no flush-to-zero mode.  A rectifier unit that dies gets exactly
+zero gradient, so its first moment decays into float32 subnormals and
+sticks there, and every later step on it takes the processor's slow path;
+``train`` therefore zeroes every moment below the smallest normal float32
+once per epoch, which leaves the trained parameters unchanged.  ``train``
+returns the mean of the last quarter of Adam's iterates (tail averaging,
+Polyak & Juditsky 1992), which sits nearer the minimum than the last
+iterate when the minibatch loss still swings.  Ground truth is solved
+``voting.BLOCK_ROWS`` interventions at a time.
 """
 
 from __future__ import annotations
@@ -108,11 +122,13 @@ class DeltaEstimate:
 class OmegaNetwork:
     """Fully connected rectifier network from the citizen intervention vector
     to one utility-ratio output per country; weights Glorot-uniform, biases
-    zero, all seeded.  ``weights`` and ``biases`` are views into ``params``."""
+    zero, all seeded.  ``weights`` and ``biases`` are views into ``params``,
+    which has the given dtype (float64 only for gradient checks)."""
 
-    def __init__(self, widths: tuple):
+    def __init__(self, widths: tuple, dtype=np.float32):
         self.widths = tuple(widths)
-        self.params = np.zeros(sum(i * o + o for i, o in zip(self.widths[:-1], self.widths[1:])))
+        size = sum(i * o + o for i, o in zip(self.widths[:-1], self.widths[1:]))
+        self.params = np.zeros(size, dtype=dtype)
         self.weights, self.biases = self.layers(self.params)
 
     def layers(self, flat: np.ndarray) -> tuple:
@@ -143,8 +159,9 @@ class OmegaNetwork:
 
     def forward_cached(self, lam: np.ndarray):
         """Returns (output, pre-activations per layer, activations per layer)
-        for backpropagation; input is scaled internally."""
-        x = np.atleast_2d(lam) * INPUT_SCALE
+        for backpropagation, all in the parameters' dtype; input is cast and
+        scaled internally."""
+        x = np.multiply(np.atleast_2d(lam), INPUT_SCALE, dtype=self.params.dtype)
         activations = [x]
         pre = []
         h = x
@@ -161,7 +178,7 @@ class OmegaNetwork:
         the same layout, given the gradient at the (linear) output layer."""
         grad = np.empty_like(self.params)
         grads_w, grads_b = self.layers(grad)
-        delta = d_out
+        delta = d_out.astype(self.params.dtype)
         for i in reversed(range(len(self.weights))):
             np.matmul(activations[i].T, delta, out=grads_w[i])
             delta.sum(axis=0, out=grads_b[i])
@@ -171,13 +188,14 @@ class OmegaNetwork:
 
 
 def forward(net: OmegaNetwork, lam: np.ndarray) -> np.ndarray:
-    """Per-country ratio estimates for one intervention vector (or a batch)."""
+    """Per-country ratio estimates, float64, for one intervention vector (or
+    a batch)."""
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 1 and lam.shape[0] != net.widths[0]:
         raise ValueError(
             f"input length {lam.shape[0]} does not match network input {net.widths[0]}"
         )
-    out, _, _ = net.forward_cached(lam)
+    out = net.forward_cached(lam)[0].astype(np.float64)
     return out[0] if lam.ndim == 1 else out
 
 
@@ -200,12 +218,12 @@ def loss_and_gradient(
     delta_hat: np.ndarray,
 ):
     """Mean (over the batch) of the squared equilibrium error summed across
-    countries, and its gradient w.r.t. ``net.params`` (a new vector per call)
-    via reverse accumulation through both the equilibrium formula and the
-    network."""
+    countries, in float64, and its gradient w.r.t. ``net.params`` (a new
+    vector per call) via reverse accumulation through both the equilibrium
+    formula and the network."""
     out, pre, activations = net.forward_cached(lam_batch)
     with np.errstate(invalid="ignore", over="ignore"):
-        err = ne_q_hat(out, delta_hat) - q_batch
+        err = ne_q_hat(out.astype(np.float64), delta_hat) - q_batch
         batch = lam_batch.shape[0]
         loss = float((err**2).sum() / batch)
     if not np.isfinite(loss):
@@ -242,6 +260,14 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: np.ndarray, cfg: Trai
     s *= cfg.learning_rate
     s /= u
     params -= s
+
+
+def _flush_subnormal(state: np.ndarray) -> None:
+    """Zero, in place, every entry of Adam's two moments (the first two rows
+    of ``state``) below the smallest normal number of their dtype."""
+    tiny = np.finfo(state.dtype).tiny
+    for moment in state[:2]:
+        moment[np.abs(moment) < tiny] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +371,9 @@ def train(
     """Fit the network to the given ground truth through the equilibrium
     layer at the given delta estimate: output bias warm-started at the
     un-intervened ratios, then minibatch Adam for the configured epochs with
-    per-epoch seeded shuffling."""
+    per-epoch seeded shuffling.  The returned network holds the mean of the
+    last ``max(1, steps // 4)`` iterates; ``curve`` is the loss along the
+    iterates themselves."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     # Children 0 and 1 seeded the delta estimate and the training data when
@@ -361,12 +389,15 @@ def train(
     # learning the intervention response rather than climbing to the mean.
     q0 = _unintervened(mechanism, pop, 200, warm_seed)
     net.biases[-1][:] = 2.0 * (q0 + delta.delta_hat * float(q0.sum()))
-    adam = np.zeros((4, net.params.size))
+    adam = np.zeros((4, net.params.size), dtype=net.params.dtype)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     curve = np.empty(cfg.epochs)
     t = 0
     n = lam_all.shape[0]
+    steps = cfg.epochs * -(-n // cfg.batch_size)
+    tail = max(1, steps // 4)
+    tail_sum = np.zeros_like(net.params)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
@@ -378,8 +409,12 @@ def train(
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}: {exc}") from exc
             adam_step(net.params, grad, adam, cfg, t)
+            if t > steps - tail:
+                tail_sum += net.params
             epoch_loss += loss * len(idx)
         curve[epoch] = epoch_loss / n
+        _flush_subnormal(adam)
+    np.divide(tail_sum, tail, out=net.params)
     return TrainResult(net=net, curve=curve)
 
 

@@ -91,7 +91,9 @@ class Population:
     country's first citizen index ``offsets``, its sums of b and d
     (``b_sums``, ``d_sums``) and its lower-median rank (size - 1) // 2
     (``median_ranks``), and the per-citizen vote constants ``twice_d`` = 2d
-    and ``twice_bd`` = 2(b + d); so a, b and d are kept as read-only copies."""
+    and ``twice_bd`` = 2(b + d); so a, b and d are kept as read-only copies,
+    the derived arrays are read-only too, and unpickling rebuilds the
+    population through the constructor."""
 
     sizes: tuple
     a: np.ndarray
@@ -121,7 +123,12 @@ class Population:
             ("twice_d", 2.0 * self.d),
             ("twice_bd", 2.0 * (self.b + self.d)),
         ):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), (self.sizes, self.a, self.b, self.d)
 
     @property
     def n_countries(self) -> int:

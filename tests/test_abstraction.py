@@ -104,6 +104,11 @@ def test_plain_dict_intervention_raises_type_error(ac, call):
         call(ac, iv)
 
 
+def test_explicit_settings_rejects_a_plain_dict():
+    with pytest.raises(TypeError, match="settings must be Setting instances, got dict"):
+        ExplicitSettings((Setting({mech("S"): (0.0, 0.0)}), {mech("S"): (0.5, 0.5)}))
+
+
 def test_push_omega_empty(ac):
     assert push_omega(ac.alignment, ac.omega, EMPTY_SETTING) == EMPTY_SETTING
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mechscm import surrogate
 from mechscm.voting import (
     Population,
     generate_population,
@@ -89,7 +90,7 @@ def test_forward_zero_weights_gives_zero():
 
 
 def test_forward_linear_single_layer_hand_check():
-    net = OmegaNetwork.init(3, 1, hidden=(), seed=0)
+    net = OmegaNetwork((3, 1), dtype=np.float64)
     net.weights[0][:, 0] = [1.0, 2.0, -1.0]
     net.biases[0][:] = 0.5
     lam = np.array([0.01, 0.02, 0.03])
@@ -157,7 +158,8 @@ def _random_small_config(seed):
     while True:
         n_in = int(rng.integers(3, 7))
         n_out = int(rng.integers(2, 4))
-        net = OmegaNetwork.init(n_in, n_out, hidden=(4,), seed=rng.integers(2**31))
+        net = OmegaNetwork((n_in, 4, n_out), dtype=np.float64)
+        net.params[:] = OmegaNetwork.init(n_in, n_out, hidden=(4,), seed=rng.integers(2**31)).params
         for w in net.weights:
             w += rng.normal(0, 0.3, size=w.shape)
         for b in net.biases:
@@ -236,6 +238,60 @@ def test_adam_step_matches_per_layer_reference():
     assert all(np.array_equal(m, r) for m, r in zip(moments, m_ref))
 
 
+def test_float32_interior_float64_boundaries():
+    net = OmegaNetwork.init(6, 3, hidden=(16, 16), seed=4)
+    wide = OmegaNetwork(net.widths, dtype=np.float64)
+    wide.params[:] = net.params
+    rng = np.random.default_rng(4)
+    lam = rng.uniform(0.0, 0.1, size=(8, 6))
+    q = rng.normal(0.0, 1.0, size=(8, 3))
+    delta = rng.uniform(0.0, 1.0, size=3)
+    assert net.params.dtype == np.float32
+    assert forward(net, lam).dtype == np.float64 and forward(net, lam[0]).dtype == np.float64
+    loss, grad = loss_and_gradient(net, lam, q, delta)
+    wide_loss, wide_grad = loss_and_gradient(wide, lam, q, delta)
+    assert type(loss) is float and grad.dtype == np.float32
+    assert loss == pytest.approx(wide_loss, rel=1e-5)
+    assert np.linalg.norm(grad - wide_grad) <= 1e-4 * np.linalg.norm(wide_grad)
+
+
+def _train_killing_a_unit(monkeypatch, flush: bool):
+    """1200 Adam steps of a width-8 network whose busiest hidden unit at step
+    50 is then made dead (bias -100), so its moments decay towards zero;
+    returns (trained params, Adam state)."""
+    pop = tiny_population()
+    widths = (pop.total, 8, pop.n_countries)
+    init = OmegaNetwork.init
+    monkeypatch.setattr(OmegaNetwork, "init", staticmethod(lambda *a, **k: init(*a, hidden=(8,), **k)))
+    state = []
+
+    def stepping(params, grad, adam, cfg, t):
+        adam_step(params, grad, adam, cfg, t)
+        if t == 50:
+            unit = int(np.argmax(np.abs(OmegaNetwork(widths).layers(adam[0])[1][0])))
+            OmegaNetwork(widths).layers(params)[1][0][unit] = -100.0
+        state[:] = [adam]
+
+    monkeypatch.setattr(surrogate, "adam_step", stepping)
+    if not flush:
+        monkeypatch.setattr(surrogate, "_flush_subnormal", lambda adam: None)
+    _, res = fit(pop, "vcg", TrainConfig(n_train=48, epochs=400, batch_size=16, seed=1))
+    return res.net.params, state[0]
+
+
+def test_subnormal_flush_zeroes_moments_and_leaves_params_unchanged(monkeypatch):
+    tiny = np.finfo(np.float32).tiny
+    with monkeypatch.context() as patch:
+        params, state = _train_killing_a_unit(patch, flush=True)
+    with monkeypatch.context() as patch:
+        kept_params, kept_state = _train_killing_a_unit(patch, flush=False)
+    assert params.dtype == state.dtype == np.float32
+    moments, kept_moments = np.abs(state[:2]), np.abs(kept_state[:2])
+    assert not np.any((moments > 0) & (moments < tiny))
+    assert np.any((kept_moments > 0) & (kept_moments < tiny))
+    assert params.tobytes() == kept_params.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_non_finite_detected():
     net = OmegaNetwork.init(3, 2, hidden=(3,), seed=0)
@@ -277,6 +333,18 @@ def test_training_deterministic():
     assert all(
         np.array_equal(w1, w2) for w1, w2 in zip(r1.net.weights, r2.net.weights)
     )
+
+
+def test_model_mae_matches_forward_and_closed_form():
+    pop = tiny_population()
+    test_set = make_dataset("vcg", pop, 12, np.random.SeedSequence(5))
+    delta, res = fit(pop, "vcg", small_cfg())
+    alpha = forward(res.net, np.stack([iv.lam for iv in test_set.interventions]))
+    d = delta.delta_hat
+    q_hat = alpha / 2.0 - d * alpha.sum(axis=1, keepdims=True) / (2.0 * (1.0 + d.sum()))
+    want = float(np.abs(q_hat - test_set.q).mean(axis=0).sum())
+    got = evaluate(res.net, delta, pop, "vcg", test_set).model_mae
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_baseline_independent_of_network():

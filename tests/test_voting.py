@@ -1,6 +1,8 @@
 """Population generation, closed-form equilibria, and the three voting
 mechanisms, each checked against independent best-response oracles."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,6 +212,22 @@ def test_population_keeps_read_only_copies():
     a[0], b[0] = -1.0, 100.0  # the caller's arrays stay theirs to change
     assert pop.a[0] == 0.5 and pop.b_sums.tolist() == [10.0, 8.0]
     assert pop.b.tolist() == [5.0, 5.0, 8.0] and pop.a.dtype == a.dtype
+
+
+def test_population_derived_arrays_read_only_and_survive_pickling():
+    pop = Population(
+        sizes=(2, 1), a=np.array([0.5, 0.4, 0.6]), b=np.array([5.0, 5.0, 8.0]),
+        d=np.array([0.02, 0.01, 0.03]),
+    )
+    derived = ("b_sums", "d_sums", "median_ranks", "twice_d", "twice_bd")
+    for name in derived:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pop, name)[0] = -1
+    again = pickle.loads(pickle.dumps(pop))
+    for name in ("a", "b", "d", *derived):
+        assert not getattr(again, name).flags.writeable, name
+        assert np.array_equal(getattr(again, name), getattr(pop, name)), name
+    assert again.sizes == pop.sizes and again.offsets == pop.offsets
 
 
 def test_vcg_matches_summed_coefficients():
