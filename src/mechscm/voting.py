@@ -19,11 +19,12 @@ number of seeds.  Every row's result is bit-identical to solving it alone.
 
 The median iteration keeps, per row and country, the citizen whose vote was
 the lower median on the last iteration.  One count of the smaller votes per
-country checks each of them; only the countries where the count is off are
-partitioned again.  Every median taken is either a partition's element at the
-lower-median rank or a candidate whose exact rank was counted, which is the
-same element, so every level, iteration count and step norm is bit-identical
-to partitioning every country on every iteration.
+country checks each of them; when all pass, their votes are the medians, and
+otherwise only the failing pairs are partitioned again, on the country's slice
+when all its rows fail.  Every median taken is either a partition's element at
+the lower-median rank or a candidate whose exact rank was counted, which is
+the same element, so every level, iteration count and step norm is
+bit-identical to partitioning every country on every iteration.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def generate_population(seed: int, n_countries: int = 5, total_citizens: int = 1
     """Log-normal country sizes scaled to the exact total (largest-remainder
     rounding), citizen parameters i.i.d. uniform within the scaled
     ``A_RANGE``, ``B_RANGE`` and ``D_RANGE``."""
-    if total_citizens < n_countries:
-        raise InvalidConfig("need at least one citizen per country")
+    if not 1 <= n_countries <= total_citizens:
+        raise InvalidConfig(f"{n_countries} countries: need 1 to {total_citizens}, a citizen each")
     rng = np.random.default_rng(seed)
     raw = rng.lognormal(mean=0.0, sigma=SIZE_SIGMA, size=n_countries)
     sizes = _largest_remainder_sizes(raw, total_citizens)
@@ -307,9 +308,9 @@ def vcg_ne(pop: Population, iv: Intervention) -> NEResult:
 def _votes(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Each citizen's individually optimal pollution level given the other
     countries' current total, per row of x = a - lambda and q (B, C)."""
-    # votes = (x - 2d * (sum(q) - q_country)) / (2 (b + d)), in one buffer
-    votes = np.repeat(q, pop.sizes, axis=1)
-    np.subtract(q.sum(axis=1, keepdims=True), votes, out=votes)
+    # votes = (x - 2d * (sum(q) - q_country)) / (2 (b + d)), in one buffer;
+    # each country's other total is subtracted once and then repeated
+    votes = np.repeat(q.sum(axis=1, keepdims=True) - q, pop.sizes, axis=1)
     votes *= pop.twice_d
     np.subtract(x, votes, out=votes)
     votes /= pop.twice_bd
@@ -324,7 +325,9 @@ def _lower_medians(pop: Population, votes: np.ndarray, median: np.ndarray | None
     vote has exactly ``median_ranks`` smaller votes in its country is the
     element ``np.partition`` puts at that rank (NaN sorts last, so a NaN
     candidate never passes); only the failing (row, country) pairs are
-    partitioned again.  Without candidates every pair is."""
+    partitioned again: on the country's slice view when all its rows fail,
+    on a gather of the failing rows otherwise.  Without candidates every
+    pair is; when every candidate passes, their votes are the targets."""
     rows = np.arange(len(votes))[:, None]
     if median is None:
         median = np.empty((len(votes), pop.n_countries), dtype=np.intp)
@@ -335,9 +338,13 @@ def _lower_medians(pop: Population, votes: np.ndarray, median: np.ndarray | None
             votes < np.repeat(candidates, pop.sizes, axis=1), pop.offsets, axis=1, dtype=np.intp
         )
         stale = (below != pop.median_ranks) | np.isnan(candidates)
-    for c in np.flatnonzero(stale.any(axis=0)):
-        k, sl, failed = pop.median_ranks[c], pop.country_slice(c), np.flatnonzero(stale[:, c])
-        median[failed, c] = sl.start + np.argpartition(votes[failed, sl], k, axis=1)[:, k]
+        if not stale.any():
+            return candidates, median
+    for c, n_stale in enumerate(stale.sum(axis=0).tolist()):
+        if n_stale:
+            sl, k = pop.country_slice(c), (pop.sizes[c] - 1) // 2
+            failed = slice(None) if n_stale == len(votes) else np.flatnonzero(stale[:, c])
+            median[failed, c] = sl.start + votes[failed, sl].argpartition(k, axis=1)[:, k]
     return votes[rows, median], median
 
 
@@ -392,7 +399,10 @@ def median_ne(
 def median_residuals(pop: Population, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per row, the max-norm gap between the levels q (B, C) and the median
     votes they induce."""
-    return np.abs(_lower_medians(pop, _votes(pop, _preferences(pop, lam), q))[0] - q).max(axis=1)
+    x = _preferences(pop, lam)
+    if np.shape(q) != (len(x), pop.n_countries):
+        raise InvalidConfig(f"levels q of shape {np.shape(q)}, need {(len(x), pop.n_countries)}")
+    return np.abs(_lower_medians(pop, _votes(pop, x, q))[0] - q).max(axis=1)
 
 
 def median_fixed_point_residual(pop: Population, iv: Intervention, q: np.ndarray) -> float:
@@ -404,7 +414,10 @@ def dictator_block(pop: Population, lam: np.ndarray, seeds) -> tuple:
     ratios; each equilibrium is the closed form at those ratios.  Row j draws
     from ``default_rng(seeds[j])``, one country at a time; ``lam`` has one
     row per seed or one shared row.  Returns (q, Q_W, dictator indices)."""
-    x = np.broadcast_to(_preferences(pop, lam), (len(seeds), pop.total))
+    x = _preferences(pop, lam)
+    if len(x) not in (1, len(seeds)):
+        raise InvalidConfig(f"{len(x)} lambda rows for {len(seeds)} seeds; need 1 or one per seed")
+    x = np.broadcast_to(x, (len(seeds), pop.total))
     idx = np.empty((len(seeds), pop.n_countries), dtype=int)
     for row, rng in zip(idx, map(np.random.default_rng, seeds)):
         row[:] = [start + int(rng.integers(size)) for start, size in zip(pop.offsets, pop.sizes)]

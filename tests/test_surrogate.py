@@ -214,17 +214,19 @@ def test_successive_gradients_are_not_aliased():
     assert not np.array_equal(first, second)
 
 
-def test_adam_step_matches_per_layer_reference():
-    # the per-array update the flat one replaced, in its order of operations
+def _adam_step_against_per_layer_reference(dtype):
+    """100 flat Adam steps on a float32 network with a ``dtype`` state and
+    gradient beside the per-array update the flat one replaced, in its order
+    of operations; both moments and the params must agree byte for byte."""
     cfg = TrainConfig()
     net = OmegaNetwork.init(7, 3, hidden=(5, 4), seed=2)
     ref = [p.copy() for p in net.weights + net.biases]
-    m_ref = [np.zeros_like(p) for p in ref]
-    v_ref = [np.zeros_like(p) for p in ref]
-    state = np.zeros((4, net.params.size))
+    m_ref = [np.zeros_like(p, dtype=dtype) for p in ref]
+    v_ref = [np.zeros_like(p, dtype=dtype) for p in ref]
+    state = np.zeros((4, net.params.size), dtype=dtype)
     rng = np.random.default_rng(3)
     for t in range(1, 101):
-        grad = rng.normal(0.0, 1.0, size=net.params.size) * rng.uniform(0.0, 2.0)
+        grad = (rng.normal(0.0, 1.0, size=net.params.size) * rng.uniform(0.0, 2.0)).astype(dtype)
         gw, gb = net.layers(grad)
         for i, (p, g) in enumerate(zip(ref, gw + gb)):
             m_ref[i] = ADAM_BETA1 * m_ref[i] + (1 - ADAM_BETA1) * g
@@ -233,9 +235,20 @@ def test_adam_step_matches_per_layer_reference():
             v_hat = v_ref[i] / (1 - ADAM_BETA2**t)
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         adam_step(net.params, grad, state, cfg, t)
-    assert all(np.array_equal(p, r) for p, r in zip(net.weights + net.biases, ref))
-    moments = net.layers(state[0])[0] + net.layers(state[0])[1]
-    assert all(np.array_equal(m, r) for m, r in zip(moments, m_ref))
+    assert all(p.tobytes() == r.tobytes() for p, r in zip(net.weights + net.biases, ref))
+    for moment, moment_ref in ((state[0], m_ref), (state[1], v_ref)):
+        weights, biases = net.layers(moment)
+        for m, r in zip(weights + biases, moment_ref):
+            assert m.dtype == r.dtype == dtype and m.tobytes() == r.tobytes()
+
+
+def test_adam_step_matches_per_layer_reference():
+    _adam_step_against_per_layer_reference(np.float64)
+
+
+def test_adam_step_with_float32_state_matches_per_layer_reference():
+    # the pairing train runs: float32 params, gradient and Adam state
+    _adam_step_against_per_layer_reference(np.float32)
 
 
 def test_float32_interior_float64_boundaries():

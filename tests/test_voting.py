@@ -21,6 +21,10 @@ from mechscm.voting import (
     NegativePreference,
     Population,
     _citizen_lambdas,
+    _lower_medians,
+    _preferences,
+    _votes,
+    dictator_block,
     generate_population,
     median_block,
     median_fixed_point_residual,
@@ -469,6 +473,44 @@ def test_median_solvers_match_the_sorted_median_oracle_bytewise(sizes, n_rows, d
     assert median_residuals(pop, lam, q).tobytes() == np.array(residuals).tobytes()
 
 
+@pytest.mark.parametrize(
+    "n_countries, total_citizens, n_rows",
+    [(50, 10_000, 4), (5, 1000, BLOCK_ROWS + 7)],
+    ids=["voting-gt", "table1"],
+)
+def test_median_block_matches_the_sorted_median_oracle_at_benchmark_shapes(
+    n_countries, total_citizens, n_rows
+):
+    pop = generate_population(41, n_countries, total_citizens)
+    lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=42, n=n_rows)])
+    levels, iterations, norms = median_block(pop, lam)
+    want = _row_by_row("median", pop, [Intervention(row) for row in lam], [None] * n_rows)
+    assert levels.tobytes() == want[0].tobytes()
+    assert iterations.tolist() == want[1]
+    assert norms.tobytes() == want[2].tobytes()
+
+
+def test_lower_medians_reselects_stale_pairs_on_views_and_row_gathers():
+    pop = generate_population(41, 50, 10_000)
+    lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=3, n=4)])
+    q = np.random.default_rng(0).uniform(0.0, 0.05, size=(4, pop.n_countries))
+    votes = _votes(pop, _preferences(pop, lam), q)
+    want = np.stack([_sorted_medians(pop, row, q_row) for row, q_row in zip(lam, q)]).tobytes()
+    # no candidates: every row of every country is stale (slice views)
+    targets, median = _lower_medians(pop, votes)
+    assert targets.tobytes() == want
+    # every candidate passes: their votes are the targets, none is moved
+    kept = median.copy()
+    targets, median = _lower_medians(pop, votes, median)
+    assert targets.tobytes() == want and np.array_equal(median, kept)
+    # a country's top vote is never its lower median: all rows of country 0
+    # (a slice view) and rows 1 and 3 of country 7 (a row gather) go stale
+    top = {c: pop.offsets[c] + votes[:, pop.country_slice(c)].argmax(axis=1) for c in (0, 7)}
+    median[:, 0], median[[1, 3], 7] = top[0], top[7][[1, 3]]
+    targets, median = _lower_medians(pop, votes, median)
+    assert targets.tobytes() == want and np.array_equal(median, kept)
+
+
 def test_median_block_raises_when_any_row_fails():
     pop = generate_population(seed=11, total_citizens=300)
     lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=4, n=6)])
@@ -508,6 +550,34 @@ def test_median_block_raises_when_any_row_fails():
             lambda pop: Intervention(np.zeros(pop.total - 1)).validate_for(pop),
             "length must equal the citizen count",
             id="intervention-length",
+        ),
+        pytest.param(
+            lambda pop: generate_population(0, 0, 30),
+            "^0 countries: need 1 to 30, a citizen each",
+            id="no-countries",
+        ),
+        pytest.param(
+            lambda pop: generate_population(0, -2, 30), "^-2 countries", id="negative-countries"
+        ),
+        pytest.param(
+            lambda pop: median_residuals(pop, np.zeros((2, pop.total)), np.zeros((2, 4))),
+            r"levels q of shape \(2, 4\), need \(2, 3\)",
+            id="residual-levels-shape",
+        ),
+        pytest.param(
+            lambda pop: median_residuals(pop, np.zeros((2, pop.total)), np.zeros(3)),
+            r"levels q of shape \(3,\), need \(2, 3\)",
+            id="residual-levels-1d",
+        ),
+        pytest.param(
+            lambda pop: median_fixed_point_residual(pop, Intervention.zero(pop), np.zeros(2)),
+            r"levels q of shape \(1, 2\), need \(1, 3\)",
+            id="fixed-point-levels-length",
+        ),
+        pytest.param(
+            lambda pop: dictator_block(pop, np.zeros((2, pop.total)), [1, 2, 3]),
+            "2 lambda rows for 3 seeds",
+            id="dictator-rows",
         ),
     ],
 )
