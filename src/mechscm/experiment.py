@@ -20,8 +20,10 @@ Artifacts written to the output directory (every CSV number is written as
                          n_train, n_test, epochs, learning_rate); seeds
                          (root plus one int per ``SEED_STAGES`` entry);
                          stage_seconds (delta, data, train, eval); versions
-                         (python, numpy); artifacts (sha256 of each file
-                         above); duration_seconds; thresholds_ok
+                         (python, numpy); blas_threads (OPENBLAS_, OMP_ and
+                         MKL_NUM_THREADS as read, None when unset); artifacts
+                         (sha256 of each file above); duration_seconds;
+                         thresholds_ok
 
 The configuration sets the population size, the data sizes and the
 training length and step only.  Citizen parameters are drawn from the
@@ -141,7 +143,7 @@ def _check_thresholds(report: dict) -> bool:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     """Generate the population, estimate delta, draw disjoint train and test
     sets, fit the surrogate, evaluate, and emit all artifacts plus the
-    manifest.  Fully deterministic given the config."""
+    manifest.  Deterministic given the config and the BLAS thread counts."""
     start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,11 +230,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     _atomic_write_json(out_dir / "report.json", report)
 
     artifacts = {name: _sha256(out_dir / name) for name in [*tables, "report.json"]}
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     manifest = {
         "config": asdict(cfg),
         "seeds": {"root": cfg.seed, **seeds},
         "stage_seconds": stage_seconds,
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        "blas_threads": {name: os.environ.get(name) for name in blas},
         "artifacts": artifacts,
         "duration_seconds": time.perf_counter() - start,
         "thresholds_ok": ok,

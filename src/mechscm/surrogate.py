@@ -12,8 +12,10 @@ Every weight and bias of ``OmegaNetwork`` is a view into one float32 vector
 ``params`` (per layer: weights row-major, then biases); activations,
 gradients and Adam's moments are float32 in the same layout, so
 ``adam_step`` updates whole vectors in place at half float64's memory
-traffic.  Float64 holds at the boundaries: each input batch is cast down
-inside ``forward_cached``, ``forward`` returns float64, and the loss, the
+traffic, on moments rescaled so that the bias corrections and the learning
+rate fold into per-step Python-float scalars, in blocks that stay in cache.
+Float64 holds at the boundaries: each input batch is cast down inside
+``forward_cached``, ``forward`` returns float64, and the loss, the
 closed-form equilibrium and its gradient run on the up-cast output, whose
 gradient is cast down only inside ``backward``.
 
@@ -77,6 +79,7 @@ DELTA_PROBES = 10  # interventions sparing a country, per delta regression
 # Adam's moment decays and denominator offset, the published defaults
 # (Kingma & Ba, 2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_ADAM_BLOCK = 1 << 16  # entries; a block's 6 float32 rows (1.5 MB) stay in a 2 MB L2
 
 
 class NonFinite(ArithmeticError):
@@ -105,8 +108,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.n_train, self.n_test, self.epochs, self.batch_size) < 1:
             raise ValueError("counts must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -240,31 +243,32 @@ def loss_and_gradient(
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: np.ndarray, cfg: TrainConfig, t: int):
-    """In-place Adam step t on ``params``; ``state`` rows are the first and
-    second moments and two scratch rows.  Operation order is that of
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), with b1, b2 and
-    eps the module's ``ADAM_*`` constants."""
-    m, v, s, u = state
-    m *= ADAM_BETA1
-    np.multiply(grad, 1 - ADAM_BETA1, out=s)
-    m += s
-    v *= ADAM_BETA2
-    np.multiply(grad, grad, out=s)
-    s *= 1 - ADAM_BETA2
-    v += s
-    np.divide(m, 1 - ADAM_BETA1**t, out=s)
-    np.divide(v, 1 - ADAM_BETA2**t, out=u)
-    np.sqrt(u, out=u)
-    u += ADAM_EPS
-    s *= cfg.learning_rate
-    s /= u
-    params -= s
+    """In-place Adam step t (Kingma & Ba's, up to rounding) on ``params``;
+    ``state`` rows are the moments scaled by 1/(1-b1) and 1/(1-b2), then two
+    scratch rows.  Per ``_ADAM_BLOCK`` entries, in this order: m = b1*m + g,
+    v = b2*v + g*g, p -= rate * m / (sqrt(v) + eps/k), where
+    k = sqrt((1-b2)/(1-b2**t)) and rate = lr*(1-b1)/(1-b1**t)/k are Python
+    floats (a numpy float64 would make each float32 op a float64 loop)."""
+    k = ((1 - ADAM_BETA2) / (1 - ADAM_BETA2**t)) ** 0.5
+    rate = float(cfg.learning_rate) * (1 - ADAM_BETA1) / (1 - ADAM_BETA1**t) / k
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        p, g, (m, v, s, u) = params[block], grad[block], state[:, block]
+        m *= ADAM_BETA1
+        m += g
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=s)
+        v += s
+        np.sqrt(v, out=u)
+        u += ADAM_EPS / k
+        np.multiply(m, rate, out=s)
+        s /= u
+        p -= s
 
 
 def _flush_subnormal(state: np.ndarray) -> None:
-    """Zero, in place, every entry of Adam's two moments (the first two rows
-    of ``state``) below the smallest normal number of their dtype."""
+    """Zero, in place, every entry of Adam's scaled moments (the first two
+    rows of ``state``) below the smallest normal number of their dtype."""
     tiny = np.finfo(state.dtype).tiny
     for moment in state[:2]:
         moment[np.abs(moment) < tiny] = 0
@@ -381,8 +385,14 @@ def train(
     # bit-identical to those runs.
     init_seed, warm_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(5)[2:]
 
-    lam_all = np.stack([iv.lam for iv in train_set.interventions])
-    q_all = train_set.q
+    n, c = len(train_set.interventions), pop.n_countries
+    lam_all = np.stack([iv.lam for iv in train_set.interventions]) if n else np.empty(0)
+    shapes = (lam_all.shape, np.shape(train_set.q), np.shape(delta.delta_hat))
+    if not n or shapes != ((n, pop.total), (n, c), (c,)):
+        raise ValueError(
+            f"lambda, q and delta_hat have shapes {shapes}; training needs "
+            f"((n, {pop.total}), (n, {c}), ({c},)) with n > 0"
+        )
     net = OmegaNetwork.init(pop.total, pop.n_countries, seed=init_seed)
     # Center the output at the un-intervened ratios by inverting the
     # equilibrium map at lambda = 0; the epoch budget then goes entirely to
@@ -394,7 +404,6 @@ def train(
 
     curve = np.empty(cfg.epochs)
     t = 0
-    n = lam_all.shape[0]
     steps = cfg.epochs * -(-n // cfg.batch_size)
     tail = max(1, steps // 4)
     tail_sum = np.zeros_like(net.params)
@@ -405,7 +414,7 @@ def train(
             idx = order[start : start + cfg.batch_size]
             t += 1
             try:
-                loss, grad = loss_and_gradient(net, lam_all[idx], q_all[idx], delta.delta_hat)
+                loss, grad = loss_and_gradient(net, lam_all[idx], train_set.q[idx], delta.delta_hat)
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}: {exc}") from exc
             adam_step(net.params, grad, adam, cfg, t)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 
 import numpy as np
@@ -68,6 +69,8 @@ def test_manifest_complete_and_hashes_match(runs):
     assert set(manifest["stage_seconds"]) == {"delta", "data", "train", "eval"}
     assert all(t >= 0.0 for t in manifest["stage_seconds"].values())
     assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__}
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert manifest["blas_threads"] == {name: os.environ.get(name) for name in blas}
     assert manifest["thresholds_ok"] == result.thresholds_ok
     assert len(manifest["artifacts"]) == 6
     for name, digest in manifest["artifacts"].items():

@@ -214,41 +214,81 @@ def test_successive_gradients_are_not_aliased():
     assert not np.array_equal(first, second)
 
 
-def _adam_step_against_per_layer_reference(dtype):
-    """100 flat Adam steps on a float32 network with a ``dtype`` state and
-    gradient beside the per-array update the flat one replaced, in its order
-    of operations; both moments and the params must agree byte for byte."""
-    cfg = TrainConfig()
-    net = OmegaNetwork.init(7, 3, hidden=(5, 4), seed=2)
-    ref = [p.copy() for p in net.weights + net.biases]
-    m_ref = [np.zeros_like(p, dtype=dtype) for p in ref]
-    v_ref = [np.zeros_like(p, dtype=dtype) for p in ref]
-    state = np.zeros((4, net.params.size), dtype=dtype)
-    rng = np.random.default_rng(3)
-    for t in range(1, 101):
-        grad = (rng.normal(0.0, 1.0, size=net.params.size) * rng.uniform(0.0, 2.0)).astype(dtype)
+def _adam_steps(net, state, steps, seed=3):
+    """``steps`` flat Adam steps on ``net`` with random gradients in the
+    state's dtype; yields each step's t and per-layer gradients before
+    taking the step."""
+    rng = np.random.default_rng(seed)
+    for t in range(1, steps + 1):
+        grad = rng.normal(0.0, 1.0, size=net.params.size) * rng.uniform(0.0, 2.0)
+        grad = grad.astype(state.dtype)
         gw, gb = net.layers(grad)
-        for i, (p, g) in enumerate(zip(ref, gw + gb)):
+        yield t, gw + gb
+        adam_step(net.params, grad, state, TrainConfig(), t)
+
+
+def test_adam_step_matches_kingma_ba_in_float64():
+    # the textbook step on unscaled moments, to rounding over 200 steps
+    lr = TrainConfig().learning_rate
+    narrow = OmegaNetwork.init(7, 3, hidden=(5, 4), seed=2)
+    net = OmegaNetwork(narrow.widths, dtype=np.float64)
+    net.params[:] = narrow.params
+    ref = [p.copy() for p in net.weights + net.biases]
+    m_ref = [np.zeros_like(p) for p in ref]
+    v_ref = [np.zeros_like(p) for p in ref]
+    state = np.zeros((4, net.params.size))
+    for t, grads in _adam_steps(net, state, 200):
+        for i, (p, g) in enumerate(zip(ref, grads)):
             m_ref[i] = ADAM_BETA1 * m_ref[i] + (1 - ADAM_BETA1) * g
             v_ref[i] = ADAM_BETA2 * v_ref[i] + (1 - ADAM_BETA2) * (g * g)
             m_hat = m_ref[i] / (1 - ADAM_BETA1**t)
             v_hat = v_ref[i] / (1 - ADAM_BETA2**t)
-            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        adam_step(net.params, grad, state, cfg, t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    for p, r in zip(net.weights + net.biases, ref):
+        np.testing.assert_allclose(p, r, rtol=1e-12, atol=0.0)
+    for moment, refs, beta in zip(state[:2], (m_ref, v_ref), (ADAM_BETA1, ADAM_BETA2)):
+        weights, biases = net.layers(moment)
+        for m, r in zip(weights + biases, refs):
+            np.testing.assert_allclose(m * (1 - beta), r, rtol=1e-12, atol=0.0)
+
+
+def test_adam_step_with_float32_state_matches_per_layer_reference():
+    # the pairing train runs: float32 params, gradient and Adam state, beside
+    # a per-array reference in adam_step's order of operations, byte for byte
+    net = OmegaNetwork.init(7, 3, hidden=(5, 4), seed=2)
+    ref = [p.copy() for p in net.weights + net.biases]
+    m_ref = [np.zeros_like(p) for p in ref]
+    v_ref = [np.zeros_like(p) for p in ref]
+    state = np.zeros((4, net.params.size), dtype=np.float32)
+    for t, grads in _adam_steps(net, state, 100):
+        k = ((1 - ADAM_BETA2) / (1 - ADAM_BETA2**t)) ** 0.5
+        rate = TrainConfig().learning_rate * (1 - ADAM_BETA1) / (1 - ADAM_BETA1**t) / k
+        for i, (p, g) in enumerate(zip(ref, grads)):
+            m_ref[i] = m_ref[i] * np.float32(ADAM_BETA1) + g
+            v_ref[i] = v_ref[i] * np.float32(ADAM_BETA2) + g * g
+            p -= m_ref[i] * np.float32(rate) / (np.sqrt(v_ref[i]) + np.float32(ADAM_EPS / k))
     assert all(p.tobytes() == r.tobytes() for p, r in zip(net.weights + net.biases, ref))
     for moment, moment_ref in ((state[0], m_ref), (state[1], v_ref)):
         weights, biases = net.layers(moment)
         for m, r in zip(weights + biases, moment_ref):
-            assert m.dtype == r.dtype == dtype and m.tobytes() == r.tobytes()
+            assert m.dtype == r.dtype == np.float32 and m.tobytes() == r.tobytes()
 
 
-def test_adam_step_matches_per_layer_reference():
-    _adam_step_against_per_layer_reference(np.float64)
+def test_adam_step_blocks_are_exact(monkeypatch):
+    size = 5 * surrogate._ADAM_BLOCK // 2
+    rng = np.random.default_rng(5)
+    start = rng.normal(0.0, 1.0, size).astype(np.float32)
+    grads = rng.normal(0.0, 1.0, (3, size)).astype(np.float32)
 
+    def run():
+        params, state = start.copy(), np.zeros((4, size), dtype=np.float32)
+        for t, grad in enumerate(grads, 1):
+            adam_step(params, grad, state, TrainConfig(), t)
+        return params.tobytes() + state[:2].tobytes()
 
-def test_adam_step_with_float32_state_matches_per_layer_reference():
-    # the pairing train runs: float32 params, gradient and Adam state
-    _adam_step_against_per_layer_reference(np.float32)
+    blocked = run()
+    monkeypatch.setattr(surrogate, "_ADAM_BLOCK", size + 1)
+    assert run() == blocked
 
 
 def test_float32_interior_float64_boundaries():
@@ -422,6 +462,32 @@ def test_dictator_baseline_deterministic():
     b1 = dictator_baseline(pop, n_draws=100, seed=3)
     b2 = dictator_baseline(pop, n_draws=100, seed=3)
     assert np.array_equal(b1, b2)
+
+
+@pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf")])
+def test_train_config_rejects_a_learning_rate_not_positive_and_finite(learning_rate):
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        TrainConfig(learning_rate=learning_rate)
+
+
+@pytest.mark.parametrize(
+    "case", ["empty", "short-q", "q-columns", "delta-length", "other-population"]
+)
+def test_train_rejects_mismatched_shapes_before_the_first_step(case, monkeypatch):
+    pop = tiny_population()
+    data = make_dataset("vcg", pop, 4, 0)
+    delta = estimate_delta("vcg", pop, 0)
+    inputs = {
+        "empty": (pop, GroundTruthSet((), np.zeros((0, pop.n_countries))), delta),
+        "short-q": (pop, GroundTruthSet(data.interventions, data.q[:3]), delta),
+        "q-columns": (pop, GroundTruthSet(data.interventions, data.q[:, :2]), delta),
+        "delta-length": (pop, data, DeltaEstimate(delta.delta_hat[:2], "regression")),
+        "other-population": (tiny_population(sizes=(3, 4, 4)), data, delta),
+    }
+    pop, data, delta = inputs[case]
+    monkeypatch.setattr(surrogate, "adam_step", None)  # a step would raise TypeError
+    with pytest.raises(ValueError, match=r"have shapes .*; training needs"):
+        train(pop, "vcg", TrainConfig(epochs=1), train_set=data, delta=delta)
 
 
 def test_unknown_mechanism_is_rejected():
