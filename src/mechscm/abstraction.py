@@ -252,39 +252,22 @@ def dists_match(
     set2: Sequence[Distribution],
     tol: float,
 ):
-    """Match two finite sets of distributions as sets: ``max_mismatch`` is
-    the least, over one-to-one pairings, of the largest paired distance (the
-    bottleneck matching), so it depends on neither order nor side.  Returns
-    (max_mismatch <= tol, max_mismatch)."""
+    """Compare two finite sets of distributions as sets: ``max_mismatch`` is
+    their Hausdorff distance, the largest distance from a distribution on
+    either side to the nearest one on the other, so it depends on neither
+    order, side nor repeats.  Returns (max_mismatch <= tol, max_mismatch):
+    (True, 0.0) when both sides are empty, (False, inf) when one is."""
     set1, set2 = list(set1), list(set2)
-    if len(set1) != len(set2):
-        return False, float("inf")
+    if not set1 or not set2:
+        return (True, 0.0) if set1 == set2 else (False, float("inf"))
     if any(d.n_samples is not None for d in set1 + set2):
         # sampled comparisons fall back to total variation
         dist_fn = lambda a, b: a.tv_distance(b)
     else:
         dist_fn = _dist_distance
     dist = [[dist_fn(d1, d2) for d2 in set2] for d1 in set1]
-    limits = sorted({x for row in dist for x in row})
-    worst = next((t for t in limits if _has_perfect_matching(dist, t)), 0.0)
+    worst = max(max(map(min, dist)), max(map(min, zip(*dist))))
     return worst <= tol, worst
-
-
-def _has_perfect_matching(dist: list, limit: float) -> bool:
-    """Whether the pairs at distance at most ``limit`` admit a perfect
-    matching (Kuhn's augmenting paths)."""
-    owner = [None] * len(dist)  # column -> matched row
-
-    def augment(i: int, seen: set) -> bool:
-        for j, x in enumerate(dist[i]):
-            if x <= limit and j not in seen:
-                seen.add(j)
-                if owner[j] is None or augment(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(dist)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +337,13 @@ def check_abstraction(
 ) -> AbstractionReport:
     """Verify the distribution-set consistency equation on every intervention
     in the suite: low-level solution distributions pushed through tau must
-    equal, as a set, the high-level solution distributions under the mapped
-    intervention.  With ``n=None`` both sides are exact tables, matched by
-    sup-norm; with ``n=k`` both are frequencies of ``k`` samples drawn from
-    ``seed``, matched by total variation.  ValueError when tau lacks an
-    aligned variable or omega maps one the alignment lacks."""
+    equal the high-level solution distributions under the mapped
+    intervention as sets, within ``tol`` in Hausdorff distance
+    (``dists_match``), so repeats do not count.  With ``n=None`` both sides
+    are exact tables, compared by sup-norm; with ``n=k`` both are
+    frequencies of ``k`` samples drawn from ``seed``, compared by total
+    variation.  ValueError when tau lacks an aligned variable or omega maps
+    one the alignment lacks."""
     check_sample_count(n)
     tau = lambda s: push_tau(a, t, s)
     entries = []

@@ -965,7 +965,9 @@ def solution_distributions(
     seed: int = 0,
 ) -> tuple:
     """One distribution per mechanism solution, in the canonical order of the
-    solutions, with equal distributions collapsed.  ``n`` and ``seed`` are
+    solutions, with exactly equal distributions collapsed.  The dedupe only
+    shrinks the set: ``abstraction.dists_match`` compares sets within a
+    tolerance, so no verdict depends on it.  ``n`` and ``seed`` are
     passed to ``distribution``: exact tables by default, else frequencies of
     ``n`` samples, every solution's drawn from the same seed.
 

@@ -358,6 +358,20 @@ def estimate_delta(
 # Step 2: training
 
 
+def _stacked_lambda(pop: Population, data: GroundTruthSet, delta: DeltaEstimate, use: str):
+    """The rows' lambda stacked (n, N); ValueError unless there are rows and
+    lambda, q and delta_hat fit ``pop``."""
+    n, c = len(data.interventions), pop.n_countries
+    lam = np.stack([iv.lam for iv in data.interventions]) if n else np.empty(0)
+    shapes = (lam.shape, np.shape(data.q), np.shape(delta.delta_hat))
+    if not n or shapes != ((n, pop.total), (n, c), (c,)):
+        raise ValueError(
+            f"lambda, q and delta_hat have shapes {shapes}; {use} needs "
+            f"((n, {pop.total}), (n, {c}), ({c},)) with n > 0"
+        )
+    return lam
+
+
 @dataclass
 class TrainResult:
     net: OmegaNetwork
@@ -385,14 +399,8 @@ def train(
     # bit-identical to those runs.
     init_seed, warm_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(5)[2:]
 
-    n, c = len(train_set.interventions), pop.n_countries
-    lam_all = np.stack([iv.lam for iv in train_set.interventions]) if n else np.empty(0)
-    shapes = (lam_all.shape, np.shape(train_set.q), np.shape(delta.delta_hat))
-    if not n or shapes != ((n, pop.total), (n, c), (c,)):
-        raise ValueError(
-            f"lambda, q and delta_hat have shapes {shapes}; training needs "
-            f"((n, {pop.total}), (n, {c}), ({c},)) with n > 0"
-        )
+    lam_all = _stacked_lambda(pop, train_set, delta, "training")
+    n = len(lam_all)
     net = OmegaNetwork.init(pop.total, pop.n_countries, seed=init_seed)
     # Center the output at the un-intervened ratios by inverting the
     # equilibrium map at lambda = 0; the epoch budget then goes entirely to
@@ -528,8 +536,9 @@ def evaluate(
 ) -> EvalReport:
     """Mean absolute error of predicted equilibria summed across countries
     and averaged over the test set, against the constant un-intervened
-    baseline (dictator-draw averaged for the stochastic mechanism)."""
-    lam = np.stack([iv.lam for iv in test_set.interventions])
+    baseline (dictator-draw averaged for the stochastic mechanism).
+    ValueError for an empty test set or shapes that do not fit ``pop``."""
+    lam = _stacked_lambda(pop, test_set, delta, "evaluation")
     alpha_hat = forward(net, lam)
     q_hat = ne_q_hat(alpha_hat, delta.delta_hat)
     abs_err = np.abs(q_hat - test_set.q)

@@ -915,3 +915,11 @@ def test_invalid_models_raise_typed_errors(call, error, message):
 def test_plain_dict_intervention_raises_type_error(call):
     with pytest.raises(TypeError, match="intervention must be a Setting, got dict"):
         call({mech("A"): 0})
+
+
+@pytest.mark.parametrize(
+    "model", [copy_cycle, lambda: two_var_chain().mech_model], ids=["enumerate", "acyclic"]
+)
+def test_intervention_on_an_unknown_variable_raises(model):
+    with pytest.raises(ValueError, match="intervention targets unknown variables"):
+        solution_set(model(), Setting({mech("Q"): 0}))

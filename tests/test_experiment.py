@@ -11,7 +11,13 @@ import platform
 import numpy as np
 import pytest
 
-from mechscm.experiment import SEED_STAGES, ExperimentConfig, _check_thresholds, run_experiment
+from mechscm.experiment import (
+    SEED_STAGES,
+    ConfigError,
+    ExperimentConfig,
+    _check_thresholds,
+    run_experiment,
+)
 from mechscm.surrogate import MECHANISMS, make_dataset
 from mechscm.voting import generate_population
 
@@ -129,6 +135,11 @@ def test_each_threshold_fails_its_report_alone(mechanism, change):
     passing = {"mechanism": mechanism, **PASSING[mechanism]}
     assert _check_thresholds(passing)
     assert not _check_thresholds({**passing, **change})
+
+
+def test_unknown_mechanism_is_a_config_error():
+    with pytest.raises(ConfigError, match="mechanism must be one of"):
+        ExperimentConfig(mechanism="x")
 
 
 @pytest.mark.slow

@@ -9,7 +9,21 @@ from hypothesis import strategies as st
 
 import fuzzgen
 from mechscm.abstraction import full_subset_suite, identity_maps
-from mechscm.core import NonFiniteDomain, Setting, mech, solution_set, solution_distributions
+from mechscm.core import (
+    DeterministicAssign,
+    DeterministicSCM,
+    FiniteDomain,
+    MechanizedSCM,
+    NonFiniteDomain,
+    ParameterizedSCM,
+    RealBox,
+    SamplerAssign,
+    Setting,
+    mech,
+    obj,
+    solution_set,
+    solution_distributions,
+)
 from mechscm.examples import (
     actor_critic_pair,
     battle_of_sexes,
@@ -65,6 +79,46 @@ def test_actor_critic_is_not_tabulable():
     pair = actor_critic_pair()
     with pytest.raises(NonFiniteDomain):
         model_to_dict(pair.low)
+
+
+def _one_variable(param_domain, assign):
+    X, TX = obj("X"), mech("X")
+    return MechanizedSCM(
+        DeterministicSCM(variables=(TX,), domains={TX: param_domain}, assignments={TX: lambda c: 0}),
+        ParameterizedSCM(
+            variables=(X,),
+            parents={X: ()},
+            domains={X: FiniteDomain((0, 1))},
+            param_domains={X: param_domain},
+            assigns={X: assign},
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (
+            _one_variable(RealBox((0.0,), (1.0,), grid_step=None), DeterministicAssign(lambda th, pa: 0)),
+            "parameter domain of X is not finite or discretized",
+        ),
+        (
+            _one_variable(FiniteDomain((0, 1)), SamplerAssign(lambda th, pa, rng: th)),
+            "X has continuous noise; cannot tabulate",
+        ),
+    ],
+    ids=["continuous-parameter", "sampler"],
+)
+def test_untabulable_object_variables_are_refused(m, message):
+    with pytest.raises(NonFiniteDomain, match=message):
+        model_to_dict(m)
+
+
+def test_unsupported_format_rejected_at_load():
+    doc = model_to_dict(shared_utility_pair("br").low)
+    doc["format"] = "mechscm/0"
+    with pytest.raises(ValueError, match="unsupported model format 'mechscm/0'"):
+        model_from_dict(doc)
 
 
 def test_save_load_file(tmp_path):

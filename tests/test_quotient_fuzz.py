@@ -128,6 +128,41 @@ def test_quotient_rejects_sibling_reading_mechanisms():
         quotient_abstraction(bad, [(X, Z)])
 
 
+@pytest.mark.parametrize(
+    "groups", [[(obj("X"),)], [(obj("X"),), (obj("X"), obj("Z"))]], ids=["missing", "repeated"]
+)
+def test_quotient_rejects_groups_that_do_not_partition(groups):
+    with pytest.raises(ValueError, match="groups must partition"):
+        quotient_abstraction(two_constant_nodes(), groups)
+
+
+def test_quotient_without_declared_mechanism_parents():
+    # X copies Y, Y copies X and Z = 1 - X, with no declared mechanism
+    # parents, so each group's mechanism reads every other group
+    X, Y, Z = obj("X"), obj("Y"), obj("Z")
+    TX, TY, TZ = mech("X"), mech("Y"), mech("Z")
+    dom = FiniteDomain((0, 1))
+    copy = DeterministicAssign(lambda th, pa: th)
+    low = MechanizedSCM(
+        DeterministicSCM(
+            variables=(TX, TY, TZ),
+            domains={TX: dom, TY: dom, TZ: dom},
+            assignments={TX: lambda c: c[TY], TY: lambda c: c[TX], TZ: lambda c: 1 - c[TX]},
+        ),
+        ParameterizedSCM(
+            variables=(X, Y, Z),
+            parents={X: (), Y: (), Z: ()},
+            domains={X: dom, Y: dom, Z: dom},
+            param_domains={X: dom, Y: dom, Z: dom},
+            assigns={X: copy, Y: copy, Z: copy},
+        ),
+    )
+    high, a, t, w = quotient_abstraction(low, [(X,), (Y, Z)])
+    assert high.mech_model.parents is None
+    report = check_abstraction(low, high, a, t, w, full_subset_suite(w))
+    assert report.summary() == "abstraction: PASS (15/15)"
+
+
 def test_nonemergence_fuzz_200_cases():
     start = time.perf_counter()
     failures = []

@@ -8,7 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechscm.abstraction import prop1_preconditions
-from mechscm.core import Setting, Table, distribution, induce_scm, mech, obj
+from mechscm.core import (
+    DeterministicAssign,
+    DeterministicSCM,
+    MechanizedSCM,
+    MechSCMError,
+    ParameterizedSCM,
+    RealBox,
+    Setting,
+    Table,
+    distribution,
+    induce_scm,
+    mech,
+    obj,
+)
 from mechscm.examples import (
     BOS_PAYOFF_1,
     BOS_PAYOFF_2,
@@ -301,6 +314,40 @@ def test_first_mover_empty_response_set_reported():
     ctx = Setting({TD1: 0, TD2: 0})
     with pytest.raises(EmptyResponseSet):
         first_mover_response(pair.low, mech("U"), belief, shared, ctx)
+
+
+def test_first_mover_needs_every_pinned_variable_in_the_context():
+    pair = shared_utility_pair("fm")
+    shared = UtilityFn.of_var(obj("U"))
+    belief = BeliefModel((TD2,), (shared,))
+    with pytest.raises(ValueError, match=r"context does not assign \[~U\]"):
+        first_mover_response(pair.low, TD1, belief, shared, Setting({TD2: 0}))
+
+
+def test_first_mover_refuses_a_joint_space_over_the_limit():
+    # two free grids of 1001 points: 1 002 001 joint settings, counted
+    # before any is built
+    X, Y = obj("X"), obj("Y")
+    grid = RealBox((0.0,), (1.0,), grid_step=0.001)
+    copy = DeterministicAssign(lambda th, pa: th)
+    m = MechanizedSCM(
+        DeterministicSCM(
+            variables=(mech("X"), mech("Y")),
+            domains={mech("X"): grid, mech("Y"): grid},
+            assignments={mech("X"): lambda c: 0.0, mech("Y"): lambda c: 0.0},
+        ),
+        ParameterizedSCM(
+            variables=(X, Y),
+            parents={X: (), Y: ()},
+            domains={X: grid, Y: grid},
+            param_domains={X: grid, Y: grid},
+            assigns={X: copy, Y: copy},
+        ),
+    )
+    u = UtilityFn.of_var(X)
+    belief = BeliefModel((mech("Y"),), (u,))
+    with pytest.raises(MechSCMError, match="first-mover enumeration exceeds"):
+        first_mover_response(m, mech("X"), belief, u, Setting())
 
 
 def test_custom_relation_can_reject_everything():

@@ -490,6 +490,29 @@ def test_train_rejects_mismatched_shapes_before_the_first_step(case, monkeypatch
         train(pop, "vcg", TrainConfig(epochs=1), train_set=data, delta=delta)
 
 
+@pytest.mark.parametrize("case", ["empty", "short-q", "q-columns", "delta-length"])
+def test_evaluate_rejects_mismatched_shapes_before_predicting(case, monkeypatch):
+    pop = tiny_population()
+    data = make_dataset("vcg", pop, 4, 0)
+    delta = estimate_delta("vcg", pop, 0)
+    net = OmegaNetwork.init(pop.total, pop.n_countries, hidden=(4,), seed=0)
+    inputs = {
+        "empty": (GroundTruthSet((), np.zeros((0, pop.n_countries))), delta),
+        "short-q": (GroundTruthSet(data.interventions, data.q[:3]), delta),
+        "q-columns": (GroundTruthSet(data.interventions, data.q[:, :2]), delta),
+        "delta-length": (data, DeltaEstimate(delta.delta_hat[:2], "regression")),
+    }
+    data, delta = inputs[case]
+    monkeypatch.setattr(surrogate, "forward", None)  # a prediction would raise TypeError
+    with pytest.raises(ValueError, match=r"have shapes .*; evaluation needs"):
+        evaluate(net, delta, pop, "vcg", data)
+
+
+def test_train_config_rejects_a_count_below_one():
+    with pytest.raises(ValueError, match="counts must be positive"):
+        TrainConfig(epochs=0)
+
+
 def test_unknown_mechanism_is_rejected():
     pop = tiny_population()
     train_set = make_dataset("vcg", pop, 4, 0)
