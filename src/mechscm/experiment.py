@@ -8,9 +8,9 @@ Artifacts written to the output directory (every CSV number is written as
     ground_truth_train.csv / ground_truth_test.csv
         header: intervention_id,country,q_c,Q_W
     report.json          evaluation report plus thresholds and diagnostics;
-                         median runs add median_residual (largest fixed-point
-                         gap), median_iterations (min / median / max over the
-                         train and test rows) and median_step_residual_max
+                         median runs add median_residual (the largest residual
+                         median_block recorded) and median_iterations (min /
+                         median / max sweeps over the train and test rows)
     table1_row.csv       header: mechanism,model_mae,baseline_mae,improvement
     per_country.csv      vcg: country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q
                          others: country,citizens,mae_q,baseline_mae_q
@@ -53,7 +53,7 @@ from mechscm.surrogate import (
     make_dataset,
     train,
 )
-from mechscm.voting import generate_population, intervention_blocks, median_residuals
+from mechscm.voting import generate_population
 
 __all__ = [
     "ConfigError",
@@ -181,17 +181,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
             floor_seed=seeds["floor"],
         ).to_dict()
         if cfg.mechanism == "median":
-            report["median_residual"] = max(
-                float(median_residuals(pop, lam, data.q[rows]).max())
-                for data in (train_set, test_set)
-                for rows, lam in intervention_blocks(data.interventions)
+            report["median_residual"] = float(
+                np.concatenate([train_set.residuals, test_set.residuals]).max()
             )
             its = np.concatenate([train_set.iterations, test_set.iterations])
             report["median_iterations"] = {
                 "min": int(its.min()), "median": float(np.median(its)), "max": int(its.max())
             }
-            norms = np.concatenate([train_set.step_norms, test_set.step_norms])
-            report["median_step_residual_max"] = float(norms.max())
     report["delta_hat"] = [float(x) for x in delta.delta_hat]
     report["delta_method"] = delta.method
     report["final_train_loss"] = float(result.curve[-1])

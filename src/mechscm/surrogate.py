@@ -282,14 +282,14 @@ def _flush_subnormal(state: np.ndarray) -> None:
 class GroundTruthSet:
     interventions: tuple
     q: np.ndarray  # (n, C)
-    iterations: Optional[np.ndarray] = None  # median only: per-row iterations
-    step_norms: Optional[np.ndarray] = None  # median only: per-row final step 2-norm
+    iterations: Optional[np.ndarray] = None  # median only: per-row sweeps
+    residuals: Optional[np.ndarray] = None  # median only: per-row fixed-point residual
 
 
 def _solve_rows(mechanism: str, pop: Population, interventions, seeds=None) -> tuple:
     """Levels (n, C), solved ``BLOCK_ROWS`` rows at a time, then for median
-    each row's iteration count and final step norm; dictator row j draws from
-    ``seeds[j]``."""
+    each row's sweep count and recorded residual (``median_block``); dictator
+    row j draws from ``seeds[j]``."""
     parts = []
     for rows, lam in intervention_blocks(interventions):
         if mechanism == "vcg":

@@ -17,14 +17,11 @@ at most ``BLOCK_ROWS`` = 64 distinct lambda rows per call, which bounds the
 (B, N) temporaries; ``dictator_block`` may share one lambda row across any
 number of seeds.  Every row's result is bit-identical to solving it alone.
 
-The median iteration keeps, per row and country, the citizen whose vote was
-the lower median on the last iteration.  One count of the smaller votes per
-country checks each of them; when all pass, their votes are the medians, and
-otherwise only the failing pairs are partitioned again, on the country's slice
-when all its rows fail.  Every median taken is either a partition's element at
-the lower-median rank or a candidate whose exact rank was counted, which is
-the same element, so every level, iteration count and step norm is
-bit-identical to partitioning every country on every iteration.
+The median mechanism follows the median voter theorem (Black, JPE 1948): a
+country whose level is the vote of its lower-median citizen m sits at the
+closed form with m's own ratios alpha_m = (a - lambda)_m / b_m and
+delta_m = d_m / b_m.  ``median_block`` finds those citizens by sweeps, and a
+row whose median citizens cycle by Newton's method on the world total.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ __all__ = [
     "B_RANGE",
     "D_RANGE",
     "SIZE_SIGMA",
-    "MEDIAN_DAMPING",
 ]
 
 LAMBDA_MAX = 0.1
@@ -74,7 +70,7 @@ A_RANGE = (0.35, 0.65)
 B_RANGE = (7.0, 13.0)
 D_RANGE = (0.05, 0.15)
 SIZE_SIGMA = 0.5
-MEDIAN_DAMPING = 0.3  # step share of the median iteration
+CYCLE_SWEEPS = 10  # median sweeps before a row is solved alone by its total
 
 
 class InvalidConfig(ValueError):
@@ -89,10 +85,9 @@ class NegativePreference(ValueError):
 class Population:
     """Fixed country sizes and per-citizen utility parameters, stored as flat
     arrays over citizens in country-block order.  Derived once: each
-    country's first citizen index ``offsets``, its sums of b and d
-    (``b_sums``, ``d_sums``) and its lower-median rank (size - 1) // 2
-    (``median_ranks``), and the per-citizen vote constants ``twice_d`` = 2d
-    and ``twice_bd`` = 2(b + d); so a, b and d are kept as read-only copies,
+    country's first citizen index ``offsets`` and its sums of b and d
+    (``b_sums``, ``d_sums``), and the per-citizen vote constants ``twice_d``
+    = 2d and ``twice_bd`` = 2(b + d); so a, b and d are kept as read-only copies,
     the derived arrays are read-only too, and unpickling rebuilds the
     population through the constructor."""
 
@@ -120,7 +115,6 @@ class Population:
             ("offsets", offsets),
             ("b_sums", np.array([np.sum(self.b[sl]) for sl in slices])),
             ("d_sums", np.array([np.sum(self.d[sl]) for sl in slices])),
-            ("median_ranks", np.array([(size - 1) // 2 for size in self.sizes])),
             ("twice_d", 2.0 * self.d),
             ("twice_bd", 2.0 * (self.b + self.d)),
         ):
@@ -317,82 +311,90 @@ def _votes(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return votes
 
 
-def _lower_medians(pop: Population, votes: np.ndarray, median: np.ndarray | None = None) -> tuple:
+def _lower_medians(pop: Population, votes: np.ndarray) -> tuple:
     """Per row of votes (B, N), each country's lower median vote and the
-    index of a citizen casting it: (targets (B, C), indices (B, C)).
-
-    ``median`` holds candidate indices, updated in place.  A candidate whose
-    vote has exactly ``median_ranks`` smaller votes in its country is the
-    element ``np.partition`` puts at that rank (NaN sorts last, so a NaN
-    candidate never passes); only the failing (row, country) pairs are
-    partitioned again: on the country's slice view when all its rows fail,
-    on a gather of the failing rows otherwise.  Without candidates every
-    pair is; when every candidate passes, their votes are the targets."""
-    rows = np.arange(len(votes))[:, None]
-    if median is None:
-        median = np.empty((len(votes), pop.n_countries), dtype=np.intp)
-        stale = np.ones(median.shape, dtype=bool)
-    else:
-        candidates = votes[rows, median]
-        below = np.add.reduceat(
-            votes < np.repeat(candidates, pop.sizes, axis=1), pop.offsets, axis=1, dtype=np.intp
-        )
-        stale = (below != pop.median_ranks) | np.isnan(candidates)
-        if not stale.any():
-            return candidates, median
-    for c, n_stale in enumerate(stale.sum(axis=0).tolist()):
-        if n_stale:
-            sl, k = pop.country_slice(c), (pop.sizes[c] - 1) // 2
-            failed = slice(None) if n_stale == len(votes) else np.flatnonzero(stale[:, c])
-            median[failed, c] = sl.start + votes[failed, sl].argpartition(k, axis=1)[:, k]
-    return votes[rows, median], median
+    index of a citizen casting it: (targets (B, C), indices (B, C))."""
+    median = np.empty((len(votes), pop.n_countries), dtype=np.intp)
+    for c, k in enumerate((size - 1) // 2 for size in pop.sizes):
+        sl = pop.country_slice(c)
+        median[:, c] = sl.start + votes[:, sl].argpartition(k, axis=1)[:, k]
+    return np.take_along_axis(votes, median, axis=1), median
 
 
 def median_block(
-    pop: Population, lam: np.ndarray, tol: float = 1e-6, max_iter: int = 10_000
+    pop: Population, lam: np.ndarray, tol: float = 1e-6, max_iter: int = 100
 ) -> tuple:
-    """Synchronous iteration on the per-country median vote, damped by
-    ``MEDIAN_DAMPING``, from all pollution levels zero, on every row at once;
-    a row stops at the first update step of 2-norm at most ``tol``.  Returns
-    the levels (B, C), each row's iteration count and final step norm;
-    NoConvergence if any row has not stopped after ``max_iter`` iterations.
-    Each iteration partitions only the countries whose median citizen of the
-    last iteration fails its rank count (``_lower_medians``)."""
+    """Sweeps from all pollution levels zero, on every row at once: each
+    sweep takes every country's lower-median voter at the current levels and
+    moves to the closed form at those voters' own ratios.  A row stops at the
+    first sweep whose levels are within ``tol`` (max norm) of the median
+    votes they induce.  A row still running after ``CYCLE_SWEEPS`` sweeps,
+    whose median voters cycle, continues alone in ``_median_by_total``, each
+    of whose steps counts as a sweep.  Returns the levels (B, C), each row's
+    sweep count and that residual; NoConvergence if any row has not stopped
+    after ``max_iter`` (100 by default) sweeps."""
     if max_iter < 1:
         raise InvalidConfig("need max_iter >= 1")
     if not tol >= 0:
         raise InvalidConfig("need tol >= 0")
     x = _preferences(pop, lam)
     n = len(x)
-    levels, iterations, norms = np.empty((n, pop.n_countries)), np.empty(n, int), np.empty(n)
-    if n == 0:
-        return levels, iterations, norms
-    rows, q, median = np.arange(n), np.zeros(levels.shape), None
-    for iteration in range(1, max_iter + 1):
-        targets, median = _lower_medians(pop, _votes(pop, x, q), median)
-        step = MEDIAN_DAMPING * (targets - q)
-        q = q + step
-        norm = np.sqrt((step * step).sum(axis=1))
-        done = norm <= tol
-        if done.any():
-            finished = rows[done]
-            levels[finished], iterations[finished], norms[finished] = q[done], iteration, norm[done]
-            rows, q, x, median = rows[~done], q[~done], x[~done], median[~done]
-            if rows.size == 0:
-                return levels, iterations, norms
-    raise NoConvergence(
-        f"median iteration did not reach {tol} in {max_iter} steps on {rows.size} rows",
-        float(norm[~done].max()),
-        max_iter,
-    )
+    levels, sweeps, residuals = np.empty((n, pop.n_countries)), np.empty(n, int), np.empty(n)
+    rows, gap = np.arange(n), np.full(n, np.inf)
+    median = _lower_medians(pop, _votes(pop, x, np.zeros(levels.shape)))[1]
+    for sweep in range(1, min(max_iter, CYCLE_SWEEPS) + 1):
+        if rows.size == 0:
+            break
+        b = pop.b[median]
+        q = _closed_form(np.take_along_axis(x, median, axis=1) / b, pop.d[median] / b)[0]
+        targets, median = _lower_medians(pop, _votes(pop, x, q))
+        gap = np.abs(targets - q).max(axis=1)
+        done = gap <= tol
+        finished = rows[done]
+        levels[finished], sweeps[finished], residuals[finished] = q[done], sweep, gap[done]
+        rows, x, median, gap = rows[~done], x[~done], median[~done], gap[~done]
+    for row, x_row, row_gap in zip(rows.tolist(), x, gap.tolist()):
+        found = _median_by_total(pop, x_row, tol, max_iter - CYCLE_SWEEPS)
+        if found is None:
+            raise NoConvergence(
+                f"median sweeps did not reach {tol} in {max_iter} sweeps", row_gap, max_iter
+            )
+        levels[row], steps, residuals[row] = found
+        sweeps[row] = CYCLE_SWEEPS + steps
+    return levels, sweeps, residuals
+
+
+def _median_by_total(pop: Population, x: np.ndarray, tol: float, max_iter: int):
+    """One row x = a - lambda (N,) by Newton's method on the world total Q
+    inside a bisection bracket: (levels (C,), steps, residual) once the
+    levels are within ``tol`` of the median votes they induce, else None.
+    Given Q, a country's level is the lower median of its citizens' ideal
+    levels alpha_i/2 - delta_i Q, so h(Q) = (sum of those medians) - Q falls
+    strictly from h(0) >= 0 to h(hi) <= 0 at hi = the sum of each country's
+    largest alpha_i/2.  Each step is the closed form at the median citizens
+    of the current total, or the bracket's midpoint where that leaves it."""
+    alpha, delta = x / pop.b, pop.d / pop.b
+    lo, total, hi = 0.0, 0.0, float(np.maximum.reduceat(alpha, pop.offsets).sum()) / 2.0
+    for steps in range(1, max_iter + 1):
+        ideal, median = _lower_medians(pop, (alpha / 2.0 - delta * total)[None])
+        q, newton = _closed_form(alpha[median], delta[median])
+        gap = float(np.abs(_lower_medians(pop, _votes(pop, x[None], q))[0] - q).max())
+        if gap <= tol:
+            return q[0], steps, gap
+        lo, hi = (total, hi) if ideal.sum() > total else (lo, total)
+        total = float(newton[0]) if lo < newton[0] < hi else 0.5 * (lo + hi)
+    return None
 
 
 def median_ne(
-    pop: Population, iv: Intervention, tol: float = 1e-6, max_iter: int = 10_000
+    pop: Population, iv: Intervention, tol: float = 1e-6, max_iter: int = 100
 ) -> NEResult:
-    q, iterations, norms = median_block(pop, iv.lam[None], tol, max_iter)
+    """One row of ``median_block``: sweeps until the levels are within
+    ``tol`` of the median votes they induce, at most ``max_iter`` (100);
+    ``iterations`` counts the sweeps and ``residual`` is that gap."""
+    q, sweeps, residuals = median_block(pop, iv.lam[None], tol, max_iter)
     return NEResult(
-        q=q[0], Q_W=float(np.sum(q[0])), iterations=int(iterations[0]), residual=float(norms[0])
+        q=q[0], Q_W=float(np.sum(q[0])), iterations=int(sweeps[0]), residual=float(residuals[0])
     )
 
 

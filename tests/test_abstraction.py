@@ -200,7 +200,7 @@ def _point(var, value):
     return exact_distribution({Setting({var: value}): 1.0})
 
 
-def test_dists_match_symmetric_and_cardinality():
+def test_dists_match_symmetric_and_set_valued():
     A = obj("A")
     d0, d1 = _point(A, 0), _point(A, 1)
     both = exact_distribution({Setting({A: 0}): 0.5, Setting({A: 1}): 0.5})

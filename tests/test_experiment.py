@@ -84,12 +84,12 @@ def test_manifest_complete_and_hashes_match(runs):
     report = json.loads((result.out_dir / "report.json").read_text())
     assert report["thresholds_ok"] == result.thresholds_ok
     is_median = result.config.mechanism == "median"
-    for key in ("median_residual", "median_iterations", "median_step_residual_max"):
+    for key in ("median_residual", "median_iterations"):
         assert (key in report) == is_median
     if is_median:
         stats = report["median_iterations"]
         assert 1 <= stats["min"] <= stats["median"] <= stats["max"]
-        assert 0.0 <= report["median_step_residual_max"] <= 1e-6
+        assert 0.0 <= report["median_residual"] <= 1e-6
 
 
 def test_runs_reproducible(runs):

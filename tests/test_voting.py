@@ -14,6 +14,7 @@ from mechscm.voting import (
     A_RANGE,
     B_RANGE,
     BLOCK_ROWS,
+    CYCLE_SWEEPS,
     D_RANGE,
     LAMBDA_MAX,
     Intervention,
@@ -21,9 +22,6 @@ from mechscm.voting import (
     NegativePreference,
     Population,
     _citizen_lambdas,
-    _lower_medians,
-    _preferences,
-    _votes,
     dictator_block,
     generate_population,
     median_block,
@@ -223,7 +221,7 @@ def test_population_derived_arrays_read_only_and_survive_pickling():
         sizes=(2, 1), a=np.array([0.5, 0.4, 0.6]), b=np.array([5.0, 5.0, 8.0]),
         d=np.array([0.02, 0.01, 0.03]),
     )
-    derived = ("b_sums", "d_sums", "median_ranks", "twice_d", "twice_bd")
+    derived = ("b_sums", "d_sums", "twice_d", "twice_bd")
     for name in derived:
         with pytest.raises(ValueError, match="read-only"):
             getattr(pop, name)[0] = -1
@@ -305,9 +303,9 @@ def test_median_rejects_nonpositive_max_iter():
 
 def test_median_block_returns_empty_arrays_for_zero_rows():
     pop = generate_population(seed=11, n_countries=4, total_citizens=200)
-    levels, iterations, norms = median_block(pop, np.zeros((0, pop.total)))
-    assert (levels.shape, iterations.shape, norms.shape) == ((0, 4), (0,), (0,))
-    assert iterations.dtype == int and norms.dtype == float
+    levels, sweeps, residuals = median_block(pop, np.zeros((0, pop.total)))
+    assert (levels.shape, sweeps.shape, residuals.shape) == ((0, 4), (0,), (0,))
+    assert sweeps.dtype == int and residuals.dtype == float
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-9])
@@ -382,44 +380,54 @@ def test_dictator_average_approaches_population_mean_behavior():
 
 def _sorted_medians(pop, lam, q):
     """Each country's lower median of the votes that levels q induce under
-    the lambdas lam, by sorting."""
-    sl = [pop.country_slice(c) for c in range(pop.n_countries)]
+    the lambdas lam, and the citizen casting it, by a stable sort:
+    (votes (C,), indices (C,))."""
     q_minus = float(np.sum(q)) - np.repeat(q, pop.sizes)
     votes = (pop.a - lam - 2.0 * pop.d * q_minus) / (2.0 * (pop.b + pop.d))
-    return np.array([np.sort(votes[s])[(len(votes[s]) - 1) // 2] for s in sl])
+    idx = np.array([
+        start + np.argsort(votes[start : start + size], kind="stable")[(size - 1) // 2]
+        for start, size in zip(pop.offsets, pop.sizes)
+    ])
+    return votes[idx], idx
+
+
+def _closed_form_by_hand(alpha, delta):
+    total = float(0.5 * np.sum(alpha) / (1.0 + np.sum(delta)))
+    return alpha / 2.0 - delta * total
 
 
 def _row_by_row(mechanism, pop, interventions, seeds):
-    """Each intervention solved alone with per-country sums, a sorted lower
-    median and the step's 2-norm: (levels, median iteration counts, median
-    step norms)."""
+    """Each intervention solved alone with per-country sums, stably sorted
+    lower medians and the closed form by hand: (levels, median sweep counts,
+    median residuals)."""
     sl = [pop.country_slice(c) for c in range(pop.n_countries)]
-    levels, iterations, norms = [], [], []
+
+    def at_citizens(lam, idx):  # the closed form at these citizens' own ratios
+        return _closed_form_by_hand((pop.a[idx] - lam[idx]) / pop.b[idx], pop.d[idx] / pop.b[idx])
+
+    levels, sweeps, residuals = [], [], []
     for iv, seed in zip(interventions, seeds):
         if mechanism == "median":
-            q = np.zeros(pop.n_countries)
-            for iteration in range(1, 10_001):
-                step = 0.3 * (_sorted_medians(pop, iv.lam, q) - q)
-                q = q + step
-                norm = float(np.sqrt(np.sum(step * step)))
-                if norm <= 1e-6:
+            idx = _sorted_medians(pop, iv.lam, np.zeros(pop.n_countries))[1]
+            for sweep in range(1, CYCLE_SWEEPS + 1):
+                q = at_citizens(iv.lam, idx)
+                targets, idx = _sorted_medians(pop, iv.lam, q)
+                residual = float(np.max(np.abs(targets - q)))
+                if residual <= 1e-6:
                     break
+            else:
+                raise AssertionError("the oracle covers rows whose median voters do not cycle")
             levels.append(q)
-            iterations.append(iteration)
-            norms.append(norm)
-            continue
-        if mechanism == "vcg":
+            sweeps.append(sweep)
+            residuals.append(residual)
+        elif mechanism == "vcg":
             b = np.array([np.sum(pop.b[s]) for s in sl])
             alpha = np.array([np.sum(pop.a[s] - iv.lam[s]) for s in sl]) / b
-            delta = np.array([np.sum(pop.d[s]) for s in sl]) / b
+            levels.append(_closed_form_by_hand(alpha, np.array([np.sum(pop.d[s]) for s in sl]) / b))
         else:
             rng = np.random.default_rng(seed)
-            idx = [s.start + int(rng.integers(s.stop - s.start)) for s in sl]
-            alpha = (pop.a[idx] - iv.lam[idx]) / pop.b[idx]
-            delta = pop.d[idx] / pop.b[idx]
-        total = float(0.5 * np.sum(alpha) / (1.0 + np.sum(delta)))
-        levels.append(alpha / 2.0 - delta * total)
-    return np.stack(levels), iterations, np.array(norms)
+            levels.append(at_citizens(iv.lam, [s.start + int(rng.integers(s.stop - s.start)) for s in sl]))
+    return np.stack(levels), sweeps, np.array(residuals)
 
 
 @pytest.mark.parametrize("mechanism", ["vcg", "median", "dictator"])
@@ -428,12 +436,31 @@ def test_block_ground_truth_matches_row_by_row(mechanism):
     n = BLOCK_ROWS + 7  # a full block and a partial one
     data = make_dataset(mechanism, pop, n, 21)
     seeds = np.random.SeedSequence(21).spawn(2)[1].spawn(n)
-    levels, iterations, norms = _row_by_row(mechanism, pop, data.interventions, seeds)
+    levels, sweeps, residuals = _row_by_row(mechanism, pop, data.interventions, seeds)
     assert data.q.tobytes() == levels.tobytes()
     if mechanism == "median":
-        assert data.iterations.tolist() == iterations
-        assert data.step_norms.tobytes() == norms.tobytes()
-        assert np.all(data.step_norms <= 1e-6)
+        assert data.iterations.tolist() == sweeps
+        assert data.residuals.tobytes() == residuals.tobytes()
+        assert np.all(data.residuals <= 1e-6)
+        lam = np.stack([iv.lam for iv in data.interventions])
+        assert data.residuals.tobytes() == median_residuals(pop, lam, data.q).tobytes()
+
+
+def _drawn_population(sizes, duplicated, rng, spread=False):
+    """Citizens drawn from the ``voting`` ranges; a duplicated citizen copies
+    a random member of their own country.  With ``spread``, each citizen's b
+    is further scaled by 1e-3 to 1e3 and d by 1 to 100 (log-uniform), far
+    beyond ``generate_population``'s spread.  Returns (population, source),
+    source mapping each citizen to the one they copy."""
+    n, size_of = sum(sizes), np.repeat(sizes, sizes)
+    start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    source = start + rng.integers(0, size_of) if duplicated else np.arange(n)
+    a = rng.uniform(*A_RANGE, size=n)
+    b = rng.uniform(*B_RANGE, size=n) / size_of
+    d = rng.uniform(*D_RANGE, size=n) / len(sizes)
+    if spread:
+        b, d = b * 10.0 ** rng.uniform(-3, 3, size=n), d * 10.0 ** rng.uniform(0, 2, size=n)
+    return Population(sizes=tuple(sizes), a=a[source], b=b[source], d=d[source]), source
 
 
 @settings(max_examples=25, deadline=None)
@@ -447,30 +474,22 @@ def test_block_ground_truth_matches_row_by_row(mechanism):
 @example(sizes=[1, 2, 5, 40, 17], n_rows=71, duplicated=True, seed=1)
 @example(sizes=[2] * 50, n_rows=2, duplicated=False, seed=2)
 def test_median_solvers_match_the_sorted_median_oracle_bytewise(sizes, n_rows, duplicated, seed):
-    # the checked median selection takes the element a sort puts at the
-    # lower-median rank, so ties and tiny countries change no byte; at most
-    # 600 (row, country) pairs keep the oracle fast
+    # argpartition and a stable sort may name different citizens among equal
+    # votes, but a duplicated citizen's ratios equal their original's, so
+    # ties and tiny countries change no byte; at most 600 (row, country)
+    # pairs keep the oracle fast
     sizes = sizes[: max(1, 600 // n_rows)]
-    n, size_of = sum(sizes), np.repeat(sizes, sizes)
     rng = np.random.default_rng(seed)
-    start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    # a duplicated citizen copies a random member of their own country
-    source = start + rng.integers(0, size_of) if duplicated else np.arange(n)
-    pop = Population(
-        sizes=tuple(sizes),
-        a=rng.uniform(*A_RANGE, size=n)[source],
-        b=(rng.uniform(*B_RANGE, size=n) / size_of)[source],
-        d=rng.uniform(*D_RANGE, size=n)[source] / len(sizes),
-    )
-    lam = rng.uniform(0.0, LAMBDA_MAX, size=(n_rows, n))[:, source]
-    levels, iterations, norms = median_block(pop, lam)
+    pop, source = _drawn_population(sizes, duplicated, rng)
+    lam = rng.uniform(0.0, LAMBDA_MAX, size=(n_rows, pop.total))[:, source]
+    levels, sweeps, residuals = median_block(pop, lam)
     want = _row_by_row("median", pop, [Intervention(row) for row in lam], [None] * n_rows)
     assert levels.tobytes() == want[0].tobytes()
-    assert iterations.tolist() == want[1]
-    assert norms.tobytes() == want[2].tobytes()
+    assert sweeps.tolist() == want[1]
+    assert residuals.tobytes() == want[2].tobytes()
     q = levels * rng.uniform(0.5, 1.5, size=levels.shape)
-    residuals = [np.abs(_sorted_medians(pop, row, q_row) - q_row).max() for row, q_row in zip(lam, q)]
-    assert median_residuals(pop, lam, q).tobytes() == np.array(residuals).tobytes()
+    gaps = [np.abs(_sorted_medians(pop, row, q_row)[0] - q_row).max() for row, q_row in zip(lam, q)]
+    assert median_residuals(pop, lam, q).tobytes() == np.array(gaps).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -483,42 +502,67 @@ def test_median_block_matches_the_sorted_median_oracle_at_benchmark_shapes(
 ):
     pop = generate_population(41, n_countries, total_citizens)
     lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=42, n=n_rows)])
-    levels, iterations, norms = median_block(pop, lam)
+    levels, sweeps, residuals = median_block(pop, lam)
     want = _row_by_row("median", pop, [Intervention(row) for row in lam], [None] * n_rows)
     assert levels.tobytes() == want[0].tobytes()
-    assert iterations.tolist() == want[1]
-    assert norms.tobytes() == want[2].tobytes()
+    assert sweeps.tolist() == want[1]
+    assert residuals.tobytes() == want[2].tobytes()
 
 
-def test_lower_medians_reselects_stale_pairs_on_views_and_row_gathers():
-    pop = generate_population(41, 50, 10_000)
-    lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=3, n=4)])
-    q = np.random.default_rng(0).uniform(0.0, 0.05, size=(4, pop.n_countries))
-    votes = _votes(pop, _preferences(pop, lam), q)
-    want = np.stack([_sorted_medians(pop, row, q_row) for row, q_row in zip(lam, q)]).tobytes()
-    # no candidates: every row of every country is stale (slice views)
-    targets, median = _lower_medians(pop, votes)
-    assert targets.tobytes() == want
-    # every candidate passes: their votes are the targets, none is moved
-    kept = median.copy()
-    targets, median = _lower_medians(pop, votes, median)
-    assert targets.tobytes() == want and np.array_equal(median, kept)
-    # a country's top vote is never its lower median: all rows of country 0
-    # (a slice view) and rows 1 and 3 of country 7 (a row gather) go stale
-    top = {c: pop.offsets[c] + votes[:, pop.country_slice(c)].argmax(axis=1) for c in (0, 7)}
-    median[:, 0], median[[1, 3], 7] = top[0], top[7][[1, 3]]
-    targets, median = _lower_medians(pop, votes, median)
-    assert targets.tobytes() == want and np.array_equal(median, kept)
+def _check_median_block_converges(sizes, duplicated, seed):
+    rng = np.random.default_rng(seed)
+    pop, source = _drawn_population(sizes, duplicated, rng, spread=True)
+    lam = rng.uniform(0.0, LAMBDA_MAX, size=(8, pop.total))[:, source]
+    tol = 1e-12 * float(np.max(pop.a / pop.b))  # relative to the largest alpha
+    levels, _, residuals = median_block(pop, lam, tol=tol)
+    assert np.all(residuals <= tol)
+    assert residuals.tobytes() == median_residuals(pop, lam, levels).tobytes()
+
+
+SPREAD_POPULATIONS = {
+    "sizes": st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    "duplicated": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(**SPREAD_POPULATIONS)
+@example(sizes=[5, 4], duplicated=True, seed=494065905)
+@example(sizes=[4, 4, 3], duplicated=False, seed=3609094582)
+def test_median_block_converges_on_spread_citizens(sizes, duplicated, seed):
+    # the two examples cycle under the sweeps, and under Newton's method on
+    # the total without its bisection bracket
+    _check_median_block_converges(sizes, duplicated, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(**SPREAD_POPULATIONS)
+def test_median_block_converges_on_spread_citizens_wide(sizes, duplicated, seed):
+    _check_median_block_converges(sizes, duplicated, seed)
+
+
+def test_cycling_median_voters_are_solved_by_their_total():
+    rng = np.random.default_rng(3609094582)
+    pop, source = _drawn_population([4, 4, 3], False, rng, spread=True)
+    lam = rng.uniform(0.0, LAMBDA_MAX, size=(8, pop.total))[:, source]
+    with pytest.raises(NoConvergence, match=f"in {CYCLE_SWEEPS} sweeps"):
+        median_block(pop, lam, max_iter=CYCLE_SWEEPS)
+    levels, sweeps, residuals = median_block(pop, lam)
+    assert np.all(sweeps > CYCLE_SWEEPS) and np.all(residuals <= 1e-6)
+    with pytest.raises(NoConvergence, match="in 12 sweeps"):
+        median_block(pop, lam, max_iter=12)
 
 
 def test_median_block_raises_when_any_row_fails():
     pop = generate_population(seed=11, total_citizens=300)
     lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=4, n=6)])
-    _, iterations, _ = median_block(pop, lam)
-    assert iterations.min() < iterations.max()
+    _, sweeps, _ = median_block(pop, lam)
+    assert sweeps.min() < sweeps.max()
     with pytest.raises(NoConvergence) as exc:
-        median_block(pop, lam, max_iter=int(iterations.min()))
-    assert exc.value.iterations == iterations.min() and exc.value.residual > 1e-6
+        median_block(pop, lam, max_iter=int(sweeps.min()))
+    assert exc.value.iterations == sweeps.min() and exc.value.residual > 1e-6
     with pytest.raises(InvalidConfig):
         median_block(pop, lam, max_iter=0)
 
