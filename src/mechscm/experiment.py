@@ -147,8 +147,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Plain ints, not SeedSequences: a stage spawns from a SeedSequence in
-    # place, so a second use of one would draw different values.
     state = np.random.SeedSequence(cfg.seed).generate_state(len(SEED_STAGES))
     seeds = {name: int(x) for name, x in zip(SEED_STAGES, state)}
     stage_seconds = {}

@@ -40,7 +40,9 @@ import numpy as np
 from mechscm.voting import (
     Intervention,
     Population,
+    _closed_form,
     dictator_block,
+    draw_dictators,
     intervention_blocks,
     median_block,
     median_ne,  # noqa: F401  (perfbench's tracer expects it in this namespace)
@@ -88,12 +90,6 @@ class NonFinite(ArithmeticError):
 
 class DegenerateDesign(ValueError):
     """The regression design had (numerically) no variation."""
-
-
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    """The seed as a SeedSequence.  A SeedSequence passed in is returned
-    as is, so spawning from it advances the caller's own sequence."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ class OmegaNetwork:
         input_dim: int,
         output_dim: int,
         hidden: tuple = HIDDEN_WIDTHS,
-        seed: int | np.random.SeedSequence = 0,
+        seed=0,
     ) -> "OmegaNetwork":
         rng = np.random.default_rng(seed)
         net = cls((input_dim, *hidden, output_dim))
@@ -208,10 +204,7 @@ def forward(net: OmegaNetwork, lam: np.ndarray) -> np.ndarray:
 
 def ne_q_hat(alpha: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
     """Closed-form equilibrium levels for a batch of ratio vectors."""
-    alpha = np.atleast_2d(alpha)
-    gain = 0.5 / (1.0 + float(delta_hat.sum()))
-    total = gain * alpha.sum(axis=1, keepdims=True)
-    return alpha / 2.0 - delta_hat[None, :] * total
+    return _closed_form(np.atleast_2d(alpha), delta_hat)[0]
 
 
 def loss_and_gradient(
@@ -286,10 +279,10 @@ class GroundTruthSet:
     residuals: Optional[np.ndarray] = None  # median only: per-row fixed-point residual
 
 
-def _solve_rows(mechanism: str, pop: Population, interventions, seeds=None) -> tuple:
+def _solve_rows(mechanism: str, pop: Population, interventions, dictators=None) -> tuple:
     """Levels (n, C), solved ``BLOCK_ROWS`` rows at a time, then for median
     each row's sweep count and recorded residual (``median_block``); dictator
-    row j draws from ``seeds[j]``."""
+    row j has the citizens ``dictators[j]``."""
     parts = []
     for rows, lam in intervention_blocks(interventions):
         if mechanism == "vcg":
@@ -297,7 +290,7 @@ def _solve_rows(mechanism: str, pop: Population, interventions, seeds=None) -> t
         elif mechanism == "median":
             parts.append(median_block(pop, lam))
         elif mechanism == "dictator":
-            parts.append(dictator_block(pop, lam, seeds[rows])[:1])
+            parts.append(dictator_block(pop, lam, dictators[rows])[:1])
         else:
             raise ValueError(f"unknown mechanism {mechanism!r}")
     return tuple(map(np.concatenate, zip(*parts)))
@@ -307,14 +300,15 @@ def make_dataset(
     mechanism: str,
     pop: Population,
     n: int,
-    seed: int | np.random.SeedSequence,
+    seed,
 ) -> GroundTruthSet:
-    """Sampled interventions plus their ground-truth equilibria.  The
-    stochastic dictator mechanism draws fresh seeded dictators per
-    intervention."""
-    iv_seed, draw_seed = _seed_sequence(seed).spawn(2)
-    ivs = sample_interventions(pop, iv_seed, n)
-    return GroundTruthSet(tuple(ivs), *_solve_rows(mechanism, pop, ivs, draw_seed.spawn(n)))
+    """Interventions, then one dictator per country and intervention, drawn
+    from ``default_rng(seed)`` for anything it accepts, and their ground-truth
+    equilibria; only the stochastic dictator mechanism reads the dictators."""
+    rng = np.random.default_rng(seed)
+    ivs = sample_interventions(pop, rng, n)
+    dictators = draw_dictators(pop, rng, n)
+    return GroundTruthSet(tuple(ivs), *_solve_rows(mechanism, pop, ivs, dictators))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +318,11 @@ def make_dataset(
 def estimate_delta(
     mechanism: str,
     pop: Population,
-    seed: int | np.random.SeedSequence,
+    seed,
 ) -> DeltaEstimate:
-    """Regression of q_c on Q_W over interventions sparing country c (the
-    equilibrium line has slope -delta_c); the dictator mechanism instead
-    plugs in the citizen average of d/b."""
+    """Regression of q_c on Q_W over interventions sparing country c, drawn
+    from one ``default_rng(seed)`` (the equilibrium line has slope -delta_c);
+    the dictator mechanism instead plugs in the citizen average of d/b."""
     if mechanism == "dictator":
         delta = np.array(
             [
@@ -338,10 +332,10 @@ def estimate_delta(
         )
         return DeltaEstimate(delta_hat=delta, method="plug_in")
 
-    children = _seed_sequence(seed).spawn(pop.n_countries)
+    rng = np.random.default_rng(seed)
     delta = np.empty(pop.n_countries)
     for c in range(pop.n_countries):
-        ivs = zero_on_country_interventions(pop, c, children[c], n=DELTA_PROBES)
+        ivs = zero_on_country_interventions(pop, c, rng, n=DELTA_PROBES)
         qs = _solve_rows(mechanism, pop, ivs)[0]
         x = qs.sum(axis=1)
         y = qs[:, c]
@@ -389,26 +383,23 @@ def train(
     """Fit the network to the given ground truth through the equilibrium
     layer at the given delta estimate: output bias warm-started at the
     un-intervened ratios, then minibatch Adam for the configured epochs with
-    per-epoch seeded shuffling.  The returned network holds the mean of the
+    per-epoch shuffling.  One generator, ``default_rng(cfg.seed)`` for
+    anything it accepts, draws the initial weights, then the warm start's
+    dictators, then the shuffles.  The returned network holds the mean of the
     last ``max(1, steps // 4)`` iterates; ``curve`` is the loss along the
     iterates themselves."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    # Children 0 and 1 seeded the delta estimate and the training data when
-    # train drew them itself; skipping them keeps every trained network
-    # bit-identical to those runs.
-    init_seed, warm_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(5)[2:]
-
     lam_all = _stacked_lambda(pop, train_set, delta, "training")
     n = len(lam_all)
-    net = OmegaNetwork.init(pop.total, pop.n_countries, seed=init_seed)
+    rng = np.random.default_rng(cfg.seed)
+    net = OmegaNetwork.init(pop.total, pop.n_countries, seed=rng)
     # Center the output at the un-intervened ratios by inverting the
     # equilibrium map at lambda = 0; the epoch budget then goes entirely to
     # learning the intervention response rather than climbing to the mean.
-    q0 = _unintervened(mechanism, pop, 200, warm_seed)
+    q0 = _unintervened(mechanism, pop, 200, rng)
     net.biases[-1][:] = 2.0 * (q0 + delta.delta_hat * float(q0.sum()))
     adam = np.zeros((4, net.params.size), dtype=net.params.dtype)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
 
     curve = np.empty(cfg.epochs)
     t = 0
@@ -416,7 +407,7 @@ def train(
     tail = max(1, steps // 4)
     tail_sum = np.zeros_like(net.params)
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -474,17 +465,13 @@ class EvalReport:
         return out
 
 
-def dictator_baseline(
-    pop: Population, n_draws: int = 10_000, seed: int | np.random.SeedSequence = 0
-) -> np.ndarray:
-    """Average un-intervened equilibrium over seeded dictator redraws."""
+def dictator_baseline(pop: Population, n_draws: int = 10_000, seed=0) -> np.ndarray:
+    """Average un-intervened equilibrium over ``n_draws`` dictator draws from
+    ``default_rng(seed)``, for anything it accepts."""
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
-    children = _seed_sequence(seed).spawn(n_draws)
-    acc = np.zeros(pop.n_countries)
-    for q in dictator_block(pop, np.zeros((1, pop.total)), children)[0]:
-        acc += q
-    return acc / n_draws
+    dictators = draw_dictators(pop, seed, n_draws)
+    return dictator_block(pop, np.zeros((1, pop.total)), dictators)[0].mean(axis=0)
 
 
 def stochastic_floor(
@@ -492,30 +479,29 @@ def stochastic_floor(
     test_set: GroundTruthSet,
     n_interventions: int = 20,
     n_redraws: int = 100,
-    seed: int | np.random.SeedSequence = 0,
+    seed=0,
 ) -> float:
     """Outcome dispersion inherent to the dictator draw: the mean (over
     interventions) of the per-country mean absolute deviation of the
-    equilibrium across redraws, summed over countries.  A deterministic
-    predictor's expected error cannot fall below this level."""
+    equilibrium across redraws, summed over countries, every redraw from
+    ``default_rng(seed)``.  A deterministic predictor's expected error
+    cannot fall below this level."""
     if min(n_interventions, n_redraws) < 1:
         raise ValueError(
             f"n_interventions and n_redraws must be at least 1, got {n_interventions}, {n_redraws}"
         )
     if not test_set.interventions:
         raise ValueError("the test set holds no interventions")
-    children = _seed_sequence(seed).spawn(n_interventions * n_redraws)
+    dictators = draw_dictators(pop, seed, n_interventions * n_redraws)
     total = 0.0
-    for j in range(n_interventions):
+    for j, redraws in enumerate(dictators.reshape(n_interventions, n_redraws, -1)):
         iv = test_set.interventions[j % len(test_set.interventions)]
-        qs = dictator_block(pop, iv.lam[None], children[j * n_redraws : (j + 1) * n_redraws])[0]
+        qs = dictator_block(pop, iv.lam[None], redraws)[0]
         total += float(np.abs(qs - qs.mean(axis=0)).mean(axis=0).sum())
     return total / n_interventions
 
 
-def _unintervened(
-    mechanism: str, pop: Population, n_draws: int, seed: int | np.random.SeedSequence
-) -> np.ndarray:
+def _unintervened(mechanism: str, pop: Population, n_draws: int, seed) -> np.ndarray:
     """Equilibrium levels at lambda = 0: the average over ``n_draws`` seeded
     dictator redraws for the stochastic mechanism, else the one solution."""
     if mechanism == "dictator":

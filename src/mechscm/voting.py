@@ -15,7 +15,7 @@ intervention per row.  ``vcg_ne``, ``median_ne``, ``random_dictator_ne`` and
 the benchmark in ``perfbench/`` calls them.  ``intervention_blocks`` stacks
 at most ``BLOCK_ROWS`` = 64 distinct lambda rows per call, which bounds the
 (B, N) temporaries; ``dictator_block`` may share one lambda row across any
-number of seeds.  Every row's result is bit-identical to solving it alone.
+number of dictator rows.  Every row is bit-identical to solving it alone.
 
 The median mechanism follows the median voter theorem (Black, JPE 1948): a
 country whose level is the vote of its lower-median citizen m sits at the
@@ -51,6 +51,7 @@ __all__ = [
     "median_residuals",
     "median_fixed_point_residual",
     "random_dictator_ne",
+    "draw_dictators",
     "dictator_block",
     "sample_interventions",
     "zero_on_country_interventions",
@@ -134,6 +135,8 @@ class Population:
         return int(sum(self.sizes))
 
     def country_slice(self, c: int) -> slice:
+        if not 0 <= c < self.n_countries:
+            raise InvalidConfig(f"country {c} outside [0, {self.n_countries})")
         start = self.offsets[c]
         return slice(start, start + self.sizes[c])
 
@@ -411,22 +414,31 @@ def median_fixed_point_residual(pop: Population, iv: Intervention, q: np.ndarray
     return float(median_residuals(pop, iv.lam[None], np.asarray(q)[None])[0])
 
 
-def dictator_block(pop: Population, lam: np.ndarray, seeds) -> tuple:
-    """One uniformly drawn citizen per country dictates its country's utility
-    ratios; each equilibrium is the closed form at those ratios.  Row j draws
-    from ``default_rng(seeds[j])``, one country at a time; ``lam`` has one
-    row per seed or one shared row.  Returns (q, Q_W, dictator indices)."""
-    x = _preferences(pop, lam)
-    if len(x) not in (1, len(seeds)):
-        raise InvalidConfig(f"{len(x)} lambda rows for {len(seeds)} seeds; need 1 or one per seed")
-    x = np.broadcast_to(x, (len(seeds), pop.total))
-    idx = np.empty((len(seeds), pop.n_countries), dtype=int)
-    for row, rng in zip(idx, map(np.random.default_rng, seeds)):
-        row[:] = [start + int(rng.integers(size)) for start, size in zip(pop.offsets, pop.sizes)]
-    alpha = x[np.arange(len(seeds))[:, None], idx] / pop.b[idx]
-    return (*_closed_form(alpha, pop.d[idx] / pop.b[idx]), idx)
+def draw_dictators(pop: Population, rng, n: int) -> np.ndarray:
+    """(n, C) citizen indices, one uniform draw per row and country, from
+    ``default_rng(rng)`` for anything it accepts (a Generator advances)."""
+    return pop.offsets + np.random.default_rng(rng).integers(pop.sizes, size=(n, pop.n_countries))
+
+
+def dictator_block(pop: Population, lam: np.ndarray, dictators) -> tuple:
+    """In row j, citizen ``dictators[j, c]``, who must belong to country c
+    (``draw_dictators`` draws them so), dictates c's utility ratios; each
+    equilibrium is the closed form at those ratios.  ``lam`` has one row per
+    dictator row or one shared row.  Returns (q, Q_W)."""
+    x, idx, c = _preferences(pop, lam), np.asarray(dictators), pop.n_countries
+    if idx.dtype.kind not in "iu" or idx.shape[1:] != (c,) or len(x) not in (1, len(idx)):
+        raise InvalidConfig(
+            f"{idx.dtype} dictators of shape {idx.shape} for {len(x)} lambda rows; need"
+            f" integers, one row of {c} per lambda row or all sharing one"
+        )
+    if not np.all((pop.offsets <= idx) & (idx - pop.offsets < pop.sizes)):
+        raise InvalidConfig("every dictator must be a citizen of their own country")
+    x = np.broadcast_to(x, (len(idx), pop.total))
+    b = pop.b[idx]
+    return _closed_form(x[np.arange(len(idx))[:, None], idx] / b, pop.d[idx] / b)
 
 
 def random_dictator_ne(pop: Population, iv: Intervention, seed: int) -> NEResult:
-    q, total, idx = dictator_block(pop, iv.lam[None], [seed])
+    idx = draw_dictators(pop, seed, 1)
+    q, total = dictator_block(pop, iv.lam[None], idx)
     return NEResult(q=q[0], Q_W=float(total[0]), dictators=tuple(int(i) for i in idx[0]))

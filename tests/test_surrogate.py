@@ -464,6 +464,35 @@ def test_dictator_baseline_deterministic():
     assert np.array_equal(b1, b2)
 
 
+def _stage_outputs(stage: str, seed) -> bytes:
+    pop = tiny_population()
+    if stage == "make_dataset":
+        data = make_dataset("dictator", pop, 8, seed)
+        return data.q.tobytes() + b"".join(iv.lam.tobytes() for iv in data.interventions)
+    if stage == "estimate_delta":
+        return estimate_delta("vcg", pop, seed).delta_hat.tobytes()
+    if stage == "dictator_baseline":
+        return dictator_baseline(pop, n_draws=50, seed=seed).tobytes()
+    if stage == "stochastic_floor":
+        test_set = make_dataset("dictator", pop, 4, 0)
+        return np.float64(stochastic_floor(pop, test_set, 3, 10, seed=seed)).tobytes()
+    train_set = make_dataset("dictator", pop, 16, 1)
+    cfg = TrainConfig(epochs=2, batch_size=8, seed=seed)
+    delta = estimate_delta("dictator", pop, 0)
+    return train(pop, "dictator", cfg, train_set=train_set, delta=delta).net.params.tobytes()
+
+
+@pytest.mark.parametrize(
+    "stage", ["make_dataset", "estimate_delta", "dictator_baseline", "stochastic_floor", "train"]
+)
+def test_a_seed_sequence_seeds_a_stage_without_being_spent(stage):
+    # each stage draws from one default_rng(seed), which never spawns from a
+    # SeedSequence, so passing the same one twice draws the same values
+    seq = np.random.SeedSequence(4)
+    assert _stage_outputs(stage, seq) == _stage_outputs(stage, seq)
+    assert seq.n_children_spawned == 0
+
+
 @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf")])
 def test_train_config_rejects_a_learning_rate_not_positive_and_finite(learning_rate):
     with pytest.raises(ValueError, match="learning rate must be positive and finite"):

@@ -23,6 +23,7 @@ from mechscm.voting import (
     Population,
     _citizen_lambdas,
     dictator_block,
+    draw_dictators,
     generate_population,
     median_block,
     median_fixed_point_residual,
@@ -374,6 +375,32 @@ def test_dictator_average_approaches_population_mean_behavior():
     assert np.isfinite(mean_total)
 
 
+def test_draw_dictators_draws_row_by_row_one_citizen_per_country():
+    pop = generate_population(seed=8, n_countries=6, total_citizens=40)
+    got = draw_dictators(pop, np.random.default_rng(3), 50)
+    rng = np.random.default_rng(3)
+    for row in got.tolist():
+        assert row == [start + int(rng.integers(size)) for start, size in zip(pop.offsets, pop.sizes)]
+    for c in range(pop.n_countries):
+        sl = pop.country_slice(c)
+        assert np.all((sl.start <= got[:, c]) & (got[:, c] < sl.stop))
+
+
+def test_dictator_block_rows_are_solved_alone():
+    pop = generate_population(seed=8, n_countries=4, total_citizens=300)
+    rng = np.random.default_rng(5)
+    lam = np.stack([iv.lam for iv in sample_interventions(pop, rng, 9)])
+    dictators = draw_dictators(pop, rng, 9)
+    q, total = dictator_block(pop, lam, dictators)
+    for j in range(9):
+        q_j, total_j = dictator_block(pop, lam[j : j + 1], dictators[j : j + 1])
+        assert q_j.tobytes() == q[j : j + 1].tobytes()
+        assert total_j.tobytes() == total[j : j + 1].tobytes()
+    shared = dictator_block(pop, lam[:1], dictators)
+    repeated = dictator_block(pop, np.repeat(lam[:1], 9, axis=0), dictators)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, repeated))
+
+
 # ---------------------------------------------------------------------------
 # Block solvers against the row-by-row solvers they replaced
 
@@ -396,9 +423,10 @@ def _closed_form_by_hand(alpha, delta):
     return alpha / 2.0 - delta * total
 
 
-def _row_by_row(mechanism, pop, interventions, seeds):
+def _row_by_row(mechanism, pop, interventions, rng=None):
     """Each intervention solved alone with per-country sums, stably sorted
-    lower medians and the closed form by hand: (levels, median sweep counts,
+    lower medians and the closed form by hand, the dictators drawn from the
+    generator ``rng`` one country at a time: (levels, median sweep counts,
     median residuals)."""
     sl = [pop.country_slice(c) for c in range(pop.n_countries)]
 
@@ -406,7 +434,7 @@ def _row_by_row(mechanism, pop, interventions, seeds):
         return _closed_form_by_hand((pop.a[idx] - lam[idx]) / pop.b[idx], pop.d[idx] / pop.b[idx])
 
     levels, sweeps, residuals = [], [], []
-    for iv, seed in zip(interventions, seeds):
+    for iv in interventions:
         if mechanism == "median":
             idx = _sorted_medians(pop, iv.lam, np.zeros(pop.n_countries))[1]
             for sweep in range(1, CYCLE_SWEEPS + 1):
@@ -425,7 +453,6 @@ def _row_by_row(mechanism, pop, interventions, seeds):
             alpha = np.array([np.sum(pop.a[s] - iv.lam[s]) for s in sl]) / b
             levels.append(_closed_form_by_hand(alpha, np.array([np.sum(pop.d[s]) for s in sl]) / b))
         else:
-            rng = np.random.default_rng(seed)
             levels.append(at_citizens(iv.lam, [s.start + int(rng.integers(s.stop - s.start)) for s in sl]))
     return np.stack(levels), sweeps, np.array(residuals)
 
@@ -435,8 +462,13 @@ def test_block_ground_truth_matches_row_by_row(mechanism):
     pop = generate_population(seed=8, n_countries=4, total_citizens=300)
     n = BLOCK_ROWS + 7  # a full block and a partial one
     data = make_dataset(mechanism, pop, n, 21)
-    seeds = np.random.SeedSequence(21).spawn(2)[1].spawn(n)
-    levels, sweeps, residuals = _row_by_row(mechanism, pop, data.interventions, seeds)
+    # one generator draws the interventions, then each row's dictators
+    rng = np.random.default_rng(21)
+    interventions = sample_interventions(pop, rng, n)
+    assert [iv.lam.tobytes() for iv in interventions] == [
+        iv.lam.tobytes() for iv in data.interventions
+    ]
+    levels, sweeps, residuals = _row_by_row(mechanism, pop, interventions, rng)
     assert data.q.tobytes() == levels.tobytes()
     if mechanism == "median":
         assert data.iterations.tolist() == sweeps
@@ -483,7 +515,7 @@ def test_median_solvers_match_the_sorted_median_oracle_bytewise(sizes, n_rows, d
     pop, source = _drawn_population(sizes, duplicated, rng)
     lam = rng.uniform(0.0, LAMBDA_MAX, size=(n_rows, pop.total))[:, source]
     levels, sweeps, residuals = median_block(pop, lam)
-    want = _row_by_row("median", pop, [Intervention(row) for row in lam], [None] * n_rows)
+    want = _row_by_row("median", pop, [Intervention(row) for row in lam])
     assert levels.tobytes() == want[0].tobytes()
     assert sweeps.tolist() == want[1]
     assert residuals.tobytes() == want[2].tobytes()
@@ -503,7 +535,7 @@ def test_median_block_matches_the_sorted_median_oracle_at_benchmark_shapes(
     pop = generate_population(41, n_countries, total_citizens)
     lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=42, n=n_rows)])
     levels, sweeps, residuals = median_block(pop, lam)
-    want = _row_by_row("median", pop, [Intervention(row) for row in lam], [None] * n_rows)
+    want = _row_by_row("median", pop, [Intervention(row) for row in lam])
     assert levels.tobytes() == want[0].tobytes()
     assert sweeps.tolist() == want[1]
     assert residuals.tobytes() == want[2].tobytes()
@@ -619,10 +651,42 @@ def test_median_block_raises_when_any_row_fails():
             id="fixed-point-levels-length",
         ),
         pytest.param(
-            lambda pop: dictator_block(pop, np.zeros((2, pop.total)), [1, 2, 3]),
-            "2 lambda rows for 3 seeds",
+            lambda pop: dictator_block(pop, np.zeros((2, pop.total)), draw_dictators(pop, 0, 3)),
+            r"int64 dictators of shape \(3, 3\) for 2 lambda rows",
             id="dictator-rows",
         ),
+        pytest.param(
+            lambda pop: dictator_block(pop, np.zeros((1, pop.total)), draw_dictators(pop, 0, 2)[:, :2]),
+            r"dictators of shape \(2, 2\) for 1 lambda rows; need integers, one row of 3",
+            id="dictator-columns",
+        ),
+        pytest.param(
+            lambda pop: dictator_block(pop, np.zeros((1, pop.total)), draw_dictators(pop, 0, 1)[0]),
+            r"dictators of shape \(3,\)",
+            id="dictator-1d",
+        ),
+        pytest.param(
+            lambda pop: dictator_block(pop, np.zeros((1, pop.total)), draw_dictators(pop, 0, 2) + 0.0),
+            "float64 dictators",
+            id="dictator-float",
+        ),
+        pytest.param(
+            lambda pop: dictator_block(pop, np.zeros((1, pop.total)), [[pop.offsets[1], pop.offsets[1], pop.offsets[2]]]),
+            "every dictator must be a citizen of their own country",
+            id="dictator-other-country",
+        ),
+        pytest.param(
+            lambda pop: dictator_block(pop, np.zeros((1, pop.total)), [[-1, *pop.offsets[1:]]]),
+            "every dictator must be a citizen of their own country",
+            id="dictator-negative",
+        ),
+        pytest.param(
+            lambda pop: dictator_block(pop, np.zeros((1, pop.total)), [[0, pop.offsets[1], pop.total]]),
+            "every dictator must be a citizen of their own country",
+            id="dictator-past-the-end",
+        ),
+        pytest.param(lambda pop: pop.country_slice(3), r"country 3 outside \[0, 3\)", id="slice-past-the-end"),
+        pytest.param(lambda pop: pop.country_slice(-1), r"country -1 outside \[0, 3\)", id="slice-negative"),
     ],
 )
 def test_invalid_voting_inputs_raise_typed_errors(call, message):
