@@ -383,14 +383,17 @@ def check_strong(w: Mapping[VarId, OmegaVar], high_domains: Mapping[VarId, Domai
     the image of every defined preimage against every high value, both sides
     enumerated (discretized for continuous domains); coverage is the fraction
     of high values hit.  ValueError when ``high_domains`` lacks a variable of
-    ``w``."""
+    ``w``, or when an omega reads a variable its defined domain does not give."""
     gaps: dict = {}
     coverage: dict = {}
     for high_var, ov in sorted(w.items(), key=lambda kv: kv[0].name):
         if high_var not in high_domains:
             raise ValueError(f"no high-level domain given for {high_var!r}")
         targets = high_domains[high_var].enumerate()
-        image = [ov.fn(s) for s in ov.defined.enumerate()]
+        try:
+            image = [ov.fn(s) for s in ov.defined.enumerate()]
+        except KeyError as exc:
+            raise ValueError(f"omega for {high_var!r} reads {exc}, outside its domain") from exc
         missing = tuple(
             tv for tv in targets if not any(values_close(tv, iv) for iv in image)
         )

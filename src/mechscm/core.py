@@ -296,6 +296,9 @@ class RealBox(Domain):
             raise ValueError("lower and upper must have equal dimension")
         if any(l > u for l, u in zip(self.lower, self.upper)):
             raise ValueError("lower bound above upper bound")
+        step = self.grid_step
+        if step is not None and not (isinstance(step, numbers.Real) and 0 < step < math.inf):
+            raise ValueError(f"grid_step must be None or a positive finite number, not {step!r}")
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ Artifacts written to the output directory (every CSV number is written as
     report.json          evaluation report plus thresholds and diagnostics;
                          median runs add median_residual (the largest residual
                          median_block recorded) and median_iterations (min /
-                         median / max sweeps over the train and test rows)
+                         median / max Newton steps, train and test rows)
     table1_row.csv       header: mechanism,model_mae,baseline_mae,improvement
     per_country.csv      vcg: country,citizens,mae_delta,mae_alpha,mae_q,baseline_mae_q
                          others: country,citizens,mae_q,baseline_mae_q

@@ -275,14 +275,14 @@ def _flush_subnormal(state: np.ndarray) -> None:
 class GroundTruthSet:
     interventions: tuple
     q: np.ndarray  # (n, C)
-    iterations: Optional[np.ndarray] = None  # median only: per-row sweeps
+    iterations: Optional[np.ndarray] = None  # median only: per-row Newton steps
     residuals: Optional[np.ndarray] = None  # median only: per-row fixed-point residual
 
 
 def _solve_rows(mechanism: str, pop: Population, interventions, dictators=None) -> tuple:
-    """Levels (n, C), solved ``BLOCK_ROWS`` rows at a time, then for median
-    each row's sweep count and recorded residual (``median_block``); dictator
-    row j has the citizens ``dictators[j]``."""
+    """Levels (n, C), solved ``BLOCK_ROWS`` rows at a time, each row on its
+    own, then for median each row's Newton step count and recorded residual
+    (``median_block``); dictator row j has the citizens ``dictators[j]``."""
     parts = []
     for rows, lam in intervention_blocks(interventions):
         if mechanism == "vcg":
@@ -320,9 +320,10 @@ def estimate_delta(
     pop: Population,
     seed,
 ) -> DeltaEstimate:
-    """Regression of q_c on Q_W over interventions sparing country c, drawn
-    from one ``default_rng(seed)`` (the equilibrium line has slope -delta_c);
-    the dictator mechanism instead plugs in the citizen average of d/b."""
+    """Regression of q_c on Q_W over interventions sparing country c (the
+    equilibrium line has slope -delta_c), every country's drawn in turn from
+    one ``default_rng(seed)`` and all solved at once; the dictator mechanism
+    instead plugs in the citizen average of d/b."""
     if mechanism == "dictator":
         delta = np.array(
             [
@@ -333,10 +334,12 @@ def estimate_delta(
         return DeltaEstimate(delta_hat=delta, method="plug_in")
 
     rng = np.random.default_rng(seed)
+    drawn = [
+        zero_on_country_interventions(pop, c, rng, DELTA_PROBES) for c in range(pop.n_countries)
+    ]
+    probes = _solve_rows(mechanism, pop, [iv for ivs in drawn for iv in ivs])[0]
     delta = np.empty(pop.n_countries)
-    for c in range(pop.n_countries):
-        ivs = zero_on_country_interventions(pop, c, rng, n=DELTA_PROBES)
-        qs = _solve_rows(mechanism, pop, ivs)[0]
+    for c, qs in enumerate(probes.reshape(pop.n_countries, DELTA_PROBES, -1)):
         x = qs.sum(axis=1)
         y = qs[:, c]
         x_var = float(np.var(x))

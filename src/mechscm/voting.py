@@ -20,8 +20,9 @@ number of dictator rows.  Every row is bit-identical to solving it alone.
 The median mechanism follows the median voter theorem (Black, JPE 1948): a
 country whose level is the vote of its lower-median citizen m sits at the
 closed form with m's own ratios alpha_m = (a - lambda)_m / b_m and
-delta_m = d_m / b_m.  ``median_block`` finds those citizens by sweeps, and a
-row whose median citizens cycle by Newton's method on the world total.
+delta_m = d_m / b_m.  At the world total Q each citizen's ideal level is
+alpha_i / 2 - delta_i Q, and ``median_block`` finds those citizens by a
+bracketed Newton's method on Q whose steps are that closed form.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ A_RANGE = (0.35, 0.65)
 B_RANGE = (7.0, 13.0)
 D_RANGE = (0.05, 0.15)
 SIZE_SIGMA = 0.5
-CYCLE_SWEEPS = 10  # median sweeps before a row is solved alone by its total
 
 
 class InvalidConfig(ValueError):
@@ -314,90 +314,75 @@ def _votes(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return votes
 
 
-def _lower_medians(pop: Population, votes: np.ndarray) -> tuple:
-    """Per row of votes (B, N), each country's lower median vote and the
-    index of a citizen casting it: (targets (B, C), indices (B, C))."""
-    median = np.empty((len(votes), pop.n_countries), dtype=np.intp)
+def _lower_medians(pop: Population, values: np.ndarray) -> tuple:
+    """Per row of votes or ideal levels (B, N), each country's lower median
+    and the index of a citizen holding it: (medians (B, C), indices (B, C))."""
+    median = np.empty((len(values), pop.n_countries), dtype=np.intp)
     for c, k in enumerate((size - 1) // 2 for size in pop.sizes):
         sl = pop.country_slice(c)
-        median[:, c] = sl.start + votes[:, sl].argpartition(k, axis=1)[:, k]
-    return np.take_along_axis(votes, median, axis=1), median
+        median[:, c] = sl.start + values[:, sl].argpartition(k, axis=1)[:, k]
+    return np.take_along_axis(values, median, axis=1), median
 
 
 def median_block(
     pop: Population, lam: np.ndarray, tol: float = 1e-6, max_iter: int = 100
 ) -> tuple:
-    """Sweeps from all pollution levels zero, on every row at once: each
-    sweep takes every country's lower-median voter at the current levels and
-    moves to the closed form at those voters' own ratios.  A row stops at the
-    first sweep whose levels are within ``tol`` (max norm) of the median
-    votes they induce.  A row still running after ``CYCLE_SWEEPS`` sweeps,
-    whose median voters cycle, continues alone in ``_median_by_total``, each
-    of whose steps counts as a sweep.  Returns the levels (B, C), each row's
-    sweep count and that residual; NoConvergence if any row has not stopped
-    after ``max_iter`` (100 by default) sweeps."""
+    """Newton's method on every row's world total Q, from its vcg total.  At
+    Q a country's level is the lower median of its citizens' ideal levels, so
+    h(Q) = (sum of those medians) - Q falls strictly from h(0) >= 0 to
+    h(hi) <= 0, hi = the sum of each country's largest alpha_i/2.  A step
+    moves to the closed form at the median citizens, or to the midpoint of
+    [lo, hi], narrowed at each step's start, when that total leaves it.  A
+    row stops once its levels are within ``tol`` (max norm) of the median
+    ideal levels at their total.  Returns the levels (B, C), each row's step
+    count and ``median_residuals`` (each vote's gap to a level is b/(b+d) of
+    the ideal level's, so at most ``tol``); NoConvergence if any row has not
+    stopped after ``max_iter`` (100 by default) steps."""
     if max_iter < 1:
         raise InvalidConfig("need max_iter >= 1")
     if not tol >= 0:
         raise InvalidConfig("need tol >= 0")
     x = _preferences(pop, lam)
     n = len(x)
-    levels, sweeps, residuals = np.empty((n, pop.n_countries)), np.empty(n, int), np.empty(n)
-    rows, gap = np.arange(n), np.full(n, np.inf)
-    median = _lower_medians(pop, _votes(pop, x, np.zeros(levels.shape)))[1]
-    for sweep in range(1, min(max_iter, CYCLE_SWEEPS) + 1):
-        if rows.size == 0:
-            break
-        b = pop.b[median]
-        q = _closed_form(np.take_along_axis(x, median, axis=1) / b, pop.d[median] / b)[0]
-        targets, median = _lower_medians(pop, _votes(pop, x, q))
-        gap = np.abs(targets - q).max(axis=1)
-        done = gap <= tol
-        finished = rows[done]
-        levels[finished], sweeps[finished], residuals[finished] = q[done], sweep, gap[done]
-        rows, x, median, gap = rows[~done], x[~done], median[~done], gap[~done]
-    for row, x_row, row_gap in zip(rows.tolist(), x, gap.tolist()):
-        found = _median_by_total(pop, x_row, tol, max_iter - CYCLE_SWEEPS)
-        if found is None:
-            raise NoConvergence(
-                f"median sweeps did not reach {tol} in {max_iter} sweeps", row_gap, max_iter
-            )
-        levels[row], steps, residuals[row] = found
-        sweeps[row] = CYCLE_SWEEPS + steps
-    return levels, sweeps, residuals
-
-
-def _median_by_total(pop: Population, x: np.ndarray, tol: float, max_iter: int):
-    """One row x = a - lambda (N,) by Newton's method on the world total Q
-    inside a bisection bracket: (levels (C,), steps, residual) once the
-    levels are within ``tol`` of the median votes they induce, else None.
-    Given Q, a country's level is the lower median of its citizens' ideal
-    levels alpha_i/2 - delta_i Q, so h(Q) = (sum of those medians) - Q falls
-    strictly from h(0) >= 0 to h(hi) <= 0 at hi = the sum of each country's
-    largest alpha_i/2.  Each step is the closed form at the median citizens
-    of the current total, or the bracket's midpoint where that leaves it."""
+    levels, steps, rows = np.empty((n, pop.n_countries)), np.empty(n, int), np.arange(n)
     alpha, delta = x / pop.b, pop.d / pop.b
-    lo, total, hi = 0.0, 0.0, float(np.maximum.reduceat(alpha, pop.offsets).sum()) / 2.0
-    for steps in range(1, max_iter + 1):
-        ideal, median = _lower_medians(pop, (alpha / 2.0 - delta * total)[None])
-        q, newton = _closed_form(alpha[median], delta[median])
-        gap = float(np.abs(_lower_medians(pop, _votes(pop, x[None], q))[0] - q).max())
-        if gap <= tol:
-            return q[0], steps, gap
-        lo, hi = (total, hi) if ideal.sum() > total else (lo, total)
-        total = float(newton[0]) if lo < newton[0] < hi else 0.5 * (lo + hi)
-    return None
+    sums = np.add.reduceat(x, pop.offsets, axis=1)  # vcg_params_block's sums to a few ulps, faster
+    total = _closed_form(sums / pop.b_sums, pop.d_sums / pop.b_sums)[1]
+    lo, hi = np.zeros(n), np.maximum.reduceat(alpha, pop.offsets, axis=1).sum(axis=1) / 2.0
+    ideal, median = _lower_medians(pop, alpha / 2.0 - delta * total[:, None])
+    for step in range(1, max_iter + 1):
+        q, newton = _closed_form(np.take_along_axis(alpha, median, axis=1), delta[median])
+        above = ideal.sum(axis=1) > total  # h > 0 at the step's start
+        lo, hi = np.where(above, total, lo), np.where(above, hi, total)
+        ideal, median = _lower_medians(pop, alpha / 2.0 - delta * newton[:, None])
+        gap = np.abs(ideal - q).max(axis=1)
+        done = gap <= tol
+        levels[rows[done]], steps[rows[done]] = q[done], step
+        rows, alpha, lo, hi, total, ideal, median = (
+            arr[~done] for arr in (rows, alpha, lo, hi, newton, ideal, median)
+        )
+        if rows.size == 0:
+            return levels, steps, median_residuals(pop, lam, levels)
+        bisect = ~((lo < total) & (total < hi))
+        if bisect.any():
+            total[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+            ideal[bisect], median[bisect] = _lower_medians(
+                pop, alpha[bisect] / 2.0 - delta * total[bisect, None]
+            )
+    worst = float(gap[~done].max())
+    raise NoConvergence(f"median Newton did not reach {tol} in {max_iter} steps", worst, max_iter)
 
 
 def median_ne(
     pop: Population, iv: Intervention, tol: float = 1e-6, max_iter: int = 100
 ) -> NEResult:
-    """One row of ``median_block``: sweeps until the levels are within
-    ``tol`` of the median votes they induce, at most ``max_iter`` (100);
-    ``iterations`` counts the sweeps and ``residual`` is that gap."""
-    q, sweeps, residuals = median_block(pop, iv.lam[None], tol, max_iter)
+    """One row of ``median_block``: Newton steps on the world total until the
+    levels are within ``tol`` of the median ideal levels at that total, at
+    most ``max_iter`` (100); ``iterations`` counts the steps and ``residual``
+    is the gap to the median votes the levels induce."""
+    q, steps, residuals = median_block(pop, iv.lam[None], tol, max_iter)
     return NEResult(
-        q=q[0], Q_W=float(np.sum(q[0])), iterations=int(sweeps[0]), residual=float(residuals[0])
+        q=q[0], Q_W=float(np.sum(q[0])), iterations=int(steps[0]), residual=float(residuals[0])
     )
 
 

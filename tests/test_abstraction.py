@@ -540,6 +540,14 @@ def test_check_strong_names_a_variable_without_domain(ac):
         check_strong(ac.omega, {})
 
 
+def test_check_strong_names_an_omega_reading_outside_its_domain(ac):
+    pair_box = ac.high.mech_model.domains[mech("S*")]
+    w = {mech("A*"): OmegaVar(ac.omega[mech("A*")].fn, AllOfDomains({mech("Q"): pair_box}))}
+    with pytest.raises(ValueError, match=r"omega for ~A\* reads ~A, outside its domain$") as exc:
+        check_strong(w, {mech("A*"): ac.high.mech_model.domains[mech("A*")]})
+    assert isinstance(exc.value.__cause__, KeyError)
+
+
 def test_grid_suite_names_an_unmapped_variable(ac):
     with pytest.raises(ValueError, match="~Nope"):
         grid_suite(ac.omega, [mech("S*"), mech("Nope")])

@@ -8,6 +8,7 @@ import numbers
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -852,6 +853,15 @@ def _chain_with_mechanisms(**domains):
         ),
         pytest.param(
             lambda: RealBox((1.0,), (0.0,)), ValueError, "lower bound above", id="box-bounds"
+        ),
+        *(
+            pytest.param(
+                lambda step=step: RealBox((0.0,), (1.0,), grid_step=step),
+                ValueError,
+                "grid_step must be None or a positive finite number, not " + re.escape(repr(step)),
+                id=f"box-grid-step-{step}",
+            )
+            for step in (0, -0.1, math.nan, math.inf, "0.1")
         ),
         pytest.param(
             lambda: DeterministicSCM((X1, obj("X1")), {}, {}),

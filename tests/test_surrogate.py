@@ -5,15 +5,19 @@ import pytest
 
 from mechscm import surrogate
 from mechscm.voting import (
+    BLOCK_ROWS,
     Population,
     generate_population,
+    median_block,
     vcg_block,
     vcg_params_block,
+    zero_on_country_interventions,
 )
 from mechscm.surrogate import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DELTA_PROBES,
     DegenerateDesign,
     DeltaEstimate,
     GroundTruthSet,
@@ -57,6 +61,23 @@ def test_vcg_delta_regression_exact(seed):
     true = vcg_params_block(pop, np.zeros((1, pop.total)))[1]
     assert est.method == "regression"
     assert np.max(np.abs(est.delta_hat - true)) <= 1e-9
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "median"])
+def test_estimate_delta_equals_the_per_country_solve(mechanism):
+    # 8 countries' probes fill one block and part of another, so rows of
+    # different countries share a block solve
+    pop = generate_population(seed=3, n_countries=8, total_citizens=400)
+    solve = {"vcg": vcg_block, "median": median_block}[mechanism]
+    rng = np.random.default_rng(9)
+    want = []
+    for c in range(pop.n_countries):
+        ivs = zero_on_country_interventions(pop, c, rng, n=DELTA_PROBES)
+        qs = solve(pop, np.stack([iv.lam for iv in ivs]))[0]
+        x = qs.sum(axis=1)
+        want.append(-float(np.cov(x, qs[:, c], ddof=0)[0, 1] / float(np.var(x))))
+    assert pop.n_countries * DELTA_PROBES > BLOCK_ROWS
+    assert estimate_delta(mechanism, pop, 9).delta_hat.tobytes() == np.array(want).tobytes()
 
 
 def test_single_country_design_degenerate():

@@ -14,7 +14,6 @@ from mechscm.voting import (
     A_RANGE,
     B_RANGE,
     BLOCK_ROWS,
-    CYCLE_SWEEPS,
     D_RANGE,
     LAMBDA_MAX,
     Intervention,
@@ -304,9 +303,9 @@ def test_median_rejects_nonpositive_max_iter():
 
 def test_median_block_returns_empty_arrays_for_zero_rows():
     pop = generate_population(seed=11, n_countries=4, total_citizens=200)
-    levels, sweeps, residuals = median_block(pop, np.zeros((0, pop.total)))
-    assert (levels.shape, sweeps.shape, residuals.shape) == ((0, 4), (0,), (0,))
-    assert sweeps.dtype == int and residuals.dtype == float
+    levels, steps, residuals = median_block(pop, np.zeros((0, pop.total)))
+    assert (levels.shape, steps.shape, residuals.shape) == ((0, 4), (0,), (0,))
+    assert steps.dtype == int and residuals.dtype == float
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-9])
@@ -405,56 +404,76 @@ def test_dictator_block_rows_are_solved_alone():
 # Block solvers against the row-by-row solvers they replaced
 
 
-def _sorted_medians(pop, lam, q):
-    """Each country's lower median of the votes that levels q induce under
-    the lambdas lam, and the citizen casting it, by a stable sort:
-    (votes (C,), indices (C,))."""
-    q_minus = float(np.sum(q)) - np.repeat(q, pop.sizes)
-    votes = (pop.a - lam - 2.0 * pop.d * q_minus) / (2.0 * (pop.b + pop.d))
+def _stable_lower_medians(pop, values):
+    """Each country's lower median of values (N,) and the citizen holding
+    it, by a stable sort: (medians (C,), indices (C,))."""
     idx = np.array([
-        start + np.argsort(votes[start : start + size], kind="stable")[(size - 1) // 2]
+        start + np.argsort(values[start : start + size], kind="stable")[(size - 1) // 2]
         for start, size in zip(pop.offsets, pop.sizes)
     ])
-    return votes[idx], idx
+    return values[idx], idx
+
+
+def _sorted_medians(pop, lam, q):
+    """Each country's lower median of the votes that levels q induce under
+    the lambdas lam, and the citizen casting it: (votes (C,), indices (C,))."""
+    q_minus = float(np.sum(q)) - np.repeat(q, pop.sizes)
+    return _stable_lower_medians(pop, (pop.a - lam - 2.0 * pop.d * q_minus) / (2.0 * (pop.b + pop.d)))
 
 
 def _closed_form_by_hand(alpha, delta):
     total = float(0.5 * np.sum(alpha) / (1.0 + np.sum(delta)))
-    return alpha / 2.0 - delta * total
+    return alpha / 2.0 - delta * total, total
+
+
+def _median_by_hand(pop, lam, tol=1e-6):
+    """One row by bracketed Newton on the world total Q from the vcg total:
+    each step is the closed form at the lower medians of the ideal levels
+    alpha/2 - delta Q, or the bracket midpoint when that total leaves the
+    bracket [lo, hi], narrowed at the total each step starts from.  Returns
+    (levels, steps, vote residual) at the first step whose levels are within
+    ``tol`` of the median ideal levels at their own total."""
+    alpha, delta = (pop.a - lam) / pop.b, pop.d / pop.b
+    sl = [pop.country_slice(c) for c in range(pop.n_countries)]
+    b = np.array([np.sum(pop.b[s]) for s in sl])
+    vcg_alpha = np.array([np.sum(pop.a[s] - lam[s]) for s in sl]) / b
+    total = _closed_form_by_hand(vcg_alpha, np.array([np.sum(pop.d[s]) for s in sl]) / b)[1]
+    lo, hi = 0.0, float(sum(np.max(alpha[s]) for s in sl)) / 2.0
+    ideal, idx = _stable_lower_medians(pop, alpha / 2.0 - delta * total)
+    for step in range(1, 101):
+        q, newton = _closed_form_by_hand(alpha[idx], delta[idx])
+        lo, hi = (total, hi) if np.sum(ideal) > total else (lo, total)
+        ideal, idx = _stable_lower_medians(pop, alpha / 2.0 - delta * newton)
+        if np.max(np.abs(ideal - q)) <= tol:
+            return q, step, float(np.max(np.abs(_sorted_medians(pop, lam, q)[0] - q)))
+        total = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if total != newton:
+            ideal, idx = _stable_lower_medians(pop, alpha / 2.0 - delta * total)
+    raise AssertionError("bracketed Newton did not converge in 100 steps")
 
 
 def _row_by_row(mechanism, pop, interventions, rng=None):
     """Each intervention solved alone with per-country sums, stably sorted
     lower medians and the closed form by hand, the dictators drawn from the
-    generator ``rng`` one country at a time: (levels, median sweep counts,
+    generator ``rng`` one country at a time: (levels, median step counts,
     median residuals)."""
     sl = [pop.country_slice(c) for c in range(pop.n_countries)]
-
-    def at_citizens(lam, idx):  # the closed form at these citizens' own ratios
-        return _closed_form_by_hand((pop.a[idx] - lam[idx]) / pop.b[idx], pop.d[idx] / pop.b[idx])
-
-    levels, sweeps, residuals = [], [], []
+    levels, steps, residuals = [], [], []
     for iv in interventions:
         if mechanism == "median":
-            idx = _sorted_medians(pop, iv.lam, np.zeros(pop.n_countries))[1]
-            for sweep in range(1, CYCLE_SWEEPS + 1):
-                q = at_citizens(iv.lam, idx)
-                targets, idx = _sorted_medians(pop, iv.lam, q)
-                residual = float(np.max(np.abs(targets - q)))
-                if residual <= 1e-6:
-                    break
-            else:
-                raise AssertionError("the oracle covers rows whose median voters do not cycle")
+            q, step, residual = _median_by_hand(pop, iv.lam)
             levels.append(q)
-            sweeps.append(sweep)
+            steps.append(step)
             residuals.append(residual)
         elif mechanism == "vcg":
             b = np.array([np.sum(pop.b[s]) for s in sl])
             alpha = np.array([np.sum(pop.a[s] - iv.lam[s]) for s in sl]) / b
-            levels.append(_closed_form_by_hand(alpha, np.array([np.sum(pop.d[s]) for s in sl]) / b))
+            levels.append(_closed_form_by_hand(alpha, np.array([np.sum(pop.d[s]) for s in sl]) / b)[0])
         else:
-            levels.append(at_citizens(iv.lam, [s.start + int(rng.integers(s.stop - s.start)) for s in sl]))
-    return np.stack(levels), sweeps, np.array(residuals)
+            idx = [s.start + int(rng.integers(s.stop - s.start)) for s in sl]
+            alpha, delta = (pop.a[idx] - iv.lam[idx]) / pop.b[idx], pop.d[idx] / pop.b[idx]
+            levels.append(_closed_form_by_hand(alpha, delta)[0])
+    return np.stack(levels), steps, np.array(residuals)
 
 
 @pytest.mark.parametrize("mechanism", ["vcg", "median", "dictator"])
@@ -468,10 +487,10 @@ def test_block_ground_truth_matches_row_by_row(mechanism):
     assert [iv.lam.tobytes() for iv in interventions] == [
         iv.lam.tobytes() for iv in data.interventions
     ]
-    levels, sweeps, residuals = _row_by_row(mechanism, pop, interventions, rng)
+    levels, steps, residuals = _row_by_row(mechanism, pop, interventions, rng)
     assert data.q.tobytes() == levels.tobytes()
     if mechanism == "median":
-        assert data.iterations.tolist() == sweeps
+        assert data.iterations.tolist() == steps
         assert data.residuals.tobytes() == residuals.tobytes()
         assert np.all(data.residuals <= 1e-6)
         lam = np.stack([iv.lam for iv in data.interventions])
@@ -514,10 +533,10 @@ def test_median_solvers_match_the_sorted_median_oracle_bytewise(sizes, n_rows, d
     rng = np.random.default_rng(seed)
     pop, source = _drawn_population(sizes, duplicated, rng)
     lam = rng.uniform(0.0, LAMBDA_MAX, size=(n_rows, pop.total))[:, source]
-    levels, sweeps, residuals = median_block(pop, lam)
+    levels, steps, residuals = median_block(pop, lam)
     want = _row_by_row("median", pop, [Intervention(row) for row in lam])
     assert levels.tobytes() == want[0].tobytes()
-    assert sweeps.tolist() == want[1]
+    assert steps.tolist() == want[1]
     assert residuals.tobytes() == want[2].tobytes()
     q = levels * rng.uniform(0.5, 1.5, size=levels.shape)
     gaps = [np.abs(_sorted_medians(pop, row, q_row)[0] - q_row).max() for row, q_row in zip(lam, q)]
@@ -534,10 +553,10 @@ def test_median_block_matches_the_sorted_median_oracle_at_benchmark_shapes(
 ):
     pop = generate_population(41, n_countries, total_citizens)
     lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=42, n=n_rows)])
-    levels, sweeps, residuals = median_block(pop, lam)
+    levels, steps, residuals = median_block(pop, lam)
     want = _row_by_row("median", pop, [Intervention(row) for row in lam])
     assert levels.tobytes() == want[0].tobytes()
-    assert sweeps.tolist() == want[1]
+    assert steps.tolist() == want[1] and max(want[1]) <= 4
     assert residuals.tobytes() == want[2].tobytes()
 
 
@@ -562,9 +581,12 @@ SPREAD_POPULATIONS = {
 @given(**SPREAD_POPULATIONS)
 @example(sizes=[5, 4], duplicated=True, seed=494065905)
 @example(sizes=[4, 4, 3], duplicated=False, seed=3609094582)
+@example(sizes=[5], duplicated=False, seed=1631013684)
+@example(sizes=[4, 3], duplicated=False, seed=2348788851)
 def test_median_block_converges_on_spread_citizens(sizes, duplicated, seed):
-    # the two examples cycle under the sweeps, and under Newton's method on
-    # the total without its bisection bracket
+    # the first two examples cycle under re-selecting the median voters at
+    # the levels; without its bisection bracket, Newton's method on the total
+    # cycles on the last two
     _check_median_block_converges(sizes, duplicated, seed)
 
 
@@ -575,26 +597,14 @@ def test_median_block_converges_on_spread_citizens_wide(sizes, duplicated, seed)
     _check_median_block_converges(sizes, duplicated, seed)
 
 
-def test_cycling_median_voters_are_solved_by_their_total():
-    rng = np.random.default_rng(3609094582)
-    pop, source = _drawn_population([4, 4, 3], False, rng, spread=True)
-    lam = rng.uniform(0.0, LAMBDA_MAX, size=(8, pop.total))[:, source]
-    with pytest.raises(NoConvergence, match=f"in {CYCLE_SWEEPS} sweeps"):
-        median_block(pop, lam, max_iter=CYCLE_SWEEPS)
-    levels, sweeps, residuals = median_block(pop, lam)
-    assert np.all(sweeps > CYCLE_SWEEPS) and np.all(residuals <= 1e-6)
-    with pytest.raises(NoConvergence, match="in 12 sweeps"):
-        median_block(pop, lam, max_iter=12)
-
-
 def test_median_block_raises_when_any_row_fails():
     pop = generate_population(seed=11, total_citizens=300)
     lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=4, n=6)])
-    _, sweeps, _ = median_block(pop, lam)
-    assert sweeps.min() < sweeps.max()
-    with pytest.raises(NoConvergence) as exc:
-        median_block(pop, lam, max_iter=int(sweeps.min()))
-    assert exc.value.iterations == sweeps.min() and exc.value.residual > 1e-6
+    _, steps, _ = median_block(pop, lam)
+    assert steps.min() < steps.max()
+    with pytest.raises(NoConvergence, match=f"in {steps.min()} steps") as exc:
+        median_block(pop, lam, max_iter=int(steps.min()))
+    assert exc.value.iterations == steps.min() and exc.value.residual > 1e-6
     with pytest.raises(InvalidConfig):
         median_block(pop, lam, max_iter=0)
 
