@@ -539,9 +539,9 @@ def check_target(m: DeterministicSCM, target: VarId) -> None:
 
 
 def check_sample_count(n: Optional[int]) -> None:
-    """Raise ValueError unless ``n`` is None (exact) or a positive count."""
-    if n is not None and n < 1:
-        raise ValueError(f"sampling needs n >= 1, got {n}")
+    """Raise ValueError unless ``n`` is None (exact) or a positive integer."""
+    if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"sampling needs an integer n >= 1, got {n!r}")
 
 
 def solve_enumerate(m: DeterministicSCM, intervention: Setting = EMPTY_SETTING) -> frozenset:

@@ -325,12 +325,7 @@ def estimate_delta(
     one ``default_rng(seed)`` and all solved at once; the dictator mechanism
     instead plugs in the citizen average of d/b."""
     if mechanism == "dictator":
-        delta = np.array(
-            [
-                float(np.mean(pop.d[pop.country_slice(c)] / pop.b[pop.country_slice(c)]))
-                for c in range(pop.n_countries)
-            ]
-        )
+        delta = np.add.reduceat(pop.d / pop.b, pop.offsets) / pop.sizes
         return DeltaEstimate(delta_hat=delta, method="plug_in")
 
     rng = np.random.default_rng(seed)

@@ -8,6 +8,10 @@ alpha = A/B and delta = D/B, is
 
     Q_W = (sum(alpha) / 2) / (1 + sum(delta)),    q_c = alpha_c / 2 - delta_c * Q_W.
 
+A ``Population`` keeps only the citizens' a, b and d in country-block order
+and each country's first citizen index ``offsets``; every per-country sum,
+here and in ``surrogate``, is one ``np.add.reduceat`` over those offsets.
+
 Each mechanism has one block solver (``vcg_block``, ``median_block``,
 ``dictator_block``) over a (B, N) matrix of preference reductions, one
 intervention per row.  ``vcg_ne``, ``median_ne``, ``random_dictator_ne`` and
@@ -28,6 +32,7 @@ bracketed Newton's method on Q whose steps are that closed form.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -85,12 +90,9 @@ class NegativePreference(ValueError):
 @dataclass(frozen=True)
 class Population:
     """Fixed country sizes and per-citizen utility parameters, stored as flat
-    arrays over citizens in country-block order.  Derived once: each
-    country's first citizen index ``offsets`` and its sums of b and d
-    (``b_sums``, ``d_sums``), and the per-citizen vote constants ``twice_d``
-    = 2d and ``twice_bd`` = 2(b + d); so a, b and d are kept as read-only copies,
-    the derived arrays are read-only too, and unpickling rebuilds the
-    population through the constructor."""
+    arrays over citizens in country-block order, with each country's first
+    citizen index ``offsets`` derived once.  a, b and d are kept as read-only
+    copies, and unpickling rebuilds the population through the constructor."""
 
     sizes: tuple
     a: np.ndarray
@@ -110,18 +112,7 @@ class Population:
         finite = all(np.all(np.isfinite(arr)) for arr in (self.a, self.b, self.d))
         if not (finite and np.all(self.a >= 0) and np.all(self.b > 0) and np.all(self.d >= 0)):
             raise InvalidConfig("require finite a >= 0, b > 0, d >= 0")
-        offsets = tuple(itertools.accumulate(self.sizes, initial=0))[:-1]
-        slices = [slice(start, start + size) for start, size in zip(offsets, self.sizes)]
-        for name, value in (
-            ("offsets", offsets),
-            ("b_sums", np.array([np.sum(self.b[sl]) for sl in slices])),
-            ("d_sums", np.array([np.sum(self.d[sl]) for sl in slices])),
-            ("twice_d", 2.0 * self.d),
-            ("twice_bd", 2.0 * (self.b + self.d)),
-        ):
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(self.sizes, initial=0))[:-1])
 
     def __reduce__(self):
         return type(self), (self.sizes, self.a, self.b, self.d)
@@ -135,7 +126,9 @@ class Population:
         return int(sum(self.sizes))
 
     def country_slice(self, c: int) -> slice:
-        if not 0 <= c < self.n_countries:
+        """Country ``c``'s citizens; InvalidConfig unless ``c`` is an integer
+        in [0, C)."""
+        if not (isinstance(c, numbers.Integral) and 0 <= c < self.n_countries):
             raise InvalidConfig(f"country {c} outside [0, {self.n_countries})")
         start = self.offsets[c]
         return slice(start, start + self.sizes[c])
@@ -154,9 +147,6 @@ class Intervention:
     @classmethod
     def zero(cls, pop: Population) -> "Intervention":
         return cls(np.zeros(pop.total))
-
-    def validate_for(self, pop: Population) -> None:
-        _preferences(pop, self.lam[None])
 
 
 @dataclass(frozen=True)
@@ -221,21 +211,18 @@ def _citizen_lambdas(mean: float, size: int, rng: np.random.Generator) -> np.nda
 def _draw_interventions(pop: Population, seed: int, n: int, untouched: int | None = None) -> list:
     """Each draw samples a per-country mean uniform on [0, LAMBDA_MAX] and
     then citizen values around it; country ``untouched`` keeps lambda zero
-    and draws no citizen values."""
+    and draws no citizen values.  The (n, N) draws are checked at once."""
     if n < 1:
         raise InvalidConfig("need n >= 1 interventions")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
+    lam = np.zeros((n, pop.total))
+    for row in lam:
         means = rng.uniform(0.0, LAMBDA_MAX, size=pop.n_countries)
-        lam = np.zeros(pop.total)
-        for c in range(pop.n_countries):
+        for c, (start, size) in enumerate(zip(pop.offsets, pop.sizes)):
             if c != untouched:
-                lam[pop.country_slice(c)] = _citizen_lambdas(means[c], pop.sizes[c], rng)
-        iv = Intervention(lam)
-        iv.validate_for(pop)
-        out.append(iv)
-    return out
+                row[start : start + size] = _citizen_lambdas(means[c], size, rng)
+    _preferences(pop, lam)
+    return [Intervention(row) for row in lam]
 
 
 def sample_interventions(pop: Population, seed: int, n: int) -> list:
@@ -248,8 +235,7 @@ def zero_on_country_interventions(
 ) -> list:
     """Interventions that leave country ``c`` untouched but perturb all other
     countries, used to trace out the equilibrium line for one country."""
-    if not 0 <= c < pop.n_countries:
-        raise InvalidConfig(f"no country {c}")
+    pop.country_slice(c)  # InvalidConfig unless c names a country
     return _draw_interventions(pop, seed, n, untouched=c)
 
 
@@ -284,11 +270,16 @@ def _closed_form(alpha: np.ndarray, delta: np.ndarray) -> tuple:
     return alpha / 2.0 - delta * total[:, None], total
 
 
+def _vcg_ratios(pop: Population, x: np.ndarray) -> tuple:
+    """Each country's summed ratios alpha (B, C) and delta (C,) for the
+    validated x = a - lambda (B, N)."""
+    b = np.add.reduceat(pop.b, pop.offsets)
+    return np.add.reduceat(x, pop.offsets, axis=1) / b, np.add.reduceat(pop.d, pop.offsets) / b
+
+
 def vcg_params_block(pop: Population, lam: np.ndarray) -> tuple:
     """Ground-truth ratios under truthful aggregation: alpha (B, C), delta (C,)."""
-    x = _preferences(pop, lam)
-    A = np.stack([x[:, pop.country_slice(c)].sum(axis=1) for c in range(pop.n_countries)], axis=1)
-    return A / pop.b_sums, pop.d_sums / pop.b_sums
+    return _vcg_ratios(pop, _preferences(pop, lam))
 
 
 def vcg_block(pop: Population, lam: np.ndarray) -> tuple:
@@ -305,22 +296,18 @@ def vcg_ne(pop: Population, iv: Intervention) -> NEResult:
 def _votes(pop: Population, x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Each citizen's individually optimal pollution level given the other
     countries' current total, per row of x = a - lambda and q (B, C)."""
-    # votes = (x - 2d * (sum(q) - q_country)) / (2 (b + d)), in one buffer;
     # each country's other total is subtracted once and then repeated
-    votes = np.repeat(q.sum(axis=1, keepdims=True) - q, pop.sizes, axis=1)
-    votes *= pop.twice_d
-    np.subtract(x, votes, out=votes)
-    votes /= pop.twice_bd
-    return votes
+    others = np.repeat(q.sum(axis=1, keepdims=True) - q, pop.sizes, axis=1)
+    return (x - others * (2.0 * pop.d)) / (2.0 * (pop.b + pop.d))
 
 
 def _lower_medians(pop: Population, values: np.ndarray) -> tuple:
     """Per row of votes or ideal levels (B, N), each country's lower median
     and the index of a citizen holding it: (medians (B, C), indices (B, C))."""
     median = np.empty((len(values), pop.n_countries), dtype=np.intp)
-    for c, k in enumerate((size - 1) // 2 for size in pop.sizes):
-        sl = pop.country_slice(c)
-        median[:, c] = sl.start + values[:, sl].argpartition(k, axis=1)[:, k]
+    for c, (start, size) in enumerate(zip(pop.offsets, pop.sizes)):
+        k = (size - 1) // 2
+        median[:, c] = start + values[:, start : start + size].argpartition(k, axis=1)[:, k]
     return np.take_along_axis(values, median, axis=1), median
 
 
@@ -346,8 +333,7 @@ def median_block(
     n = len(x)
     levels, steps, rows = np.empty((n, pop.n_countries)), np.empty(n, int), np.arange(n)
     alpha, delta = x / pop.b, pop.d / pop.b
-    sums = np.add.reduceat(x, pop.offsets, axis=1)  # vcg_params_block's sums to a few ulps, faster
-    total = _closed_form(sums / pop.b_sums, pop.d_sums / pop.b_sums)[1]
+    total = _closed_form(*_vcg_ratios(pop, x))[1]
     lo, hi = np.zeros(n), np.maximum.reduceat(alpha, pop.offsets, axis=1).sum(axis=1) / 2.0
     ideal, median = _lower_medians(pop, alpha / 2.0 - delta * total[:, None])
     for step in range(1, max_iter + 1):

@@ -577,6 +577,8 @@ def test_actor_critic_grid_suite_is_pinned(ac):
 def test_sampling_checks_reject_empty_counts(ac):
     with pytest.raises(ValueError, match="n >= 1"):
         check_abstraction(ac.low, ac.high, ac.alignment, ac.tau, ac.omega, [], n=0)
+    with pytest.raises(ValueError, match="integer n >= 1, got 1.5"):
+        check_abstraction(ac.low, ac.high, ac.alignment, ac.tau, ac.omega, [], n=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,16 @@ def test_sample_mode_rejects_empty_count(n):
         solution_distributions(m, n=n)
 
 
+def test_sample_mode_rejects_a_fractional_count():
+    # range(n) would raise a bare TypeError
+    m = two_var_chain()
+    ind = m.obj_model.at({obj("A"): 0.5, obj("B"): 1})
+    with pytest.raises(ValueError, match="integer n >= 1, got 2.5"):
+        distribution(ind, n=2.5)
+    with pytest.raises(ValueError, match="integer n >= 1, got 2.5"):
+        solution_distributions(m, n=2.5)
+
+
 def test_sampled_prob_reads_the_frequencies():
     m = two_var_chain()
     A, B = m.object_vars

@@ -1,6 +1,7 @@
 """Population generation, closed-form equilibria, and the three voting
 mechanisms, each checked against independent best-response oracles."""
 
+import math
 import pickle
 
 import numpy as np
@@ -152,7 +153,7 @@ def test_intervention_validation():
         d=np.array([0.0]),
     )
     with pytest.raises(NegativePreference):
-        Intervention(np.array([0.1])).validate_for(tiny)
+        vcg_block(tiny, np.array([[0.1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,10 @@ def test_population_keeps_read_only_copies():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = -1.0
     a[0], b[0] = -1.0, 100.0  # the caller's arrays stay theirs to change
-    assert pop.a[0] == 0.5 and pop.b_sums.tolist() == [10.0, 8.0]
+    assert pop.a[0] == 0.5
+    alpha, delta = vcg_params_block(pop, np.zeros((1, 3)))
+    assert alpha.tolist() == [[(0.5 + 0.4) / 10.0, 0.6 / 8.0]]
+    assert delta.tolist() == [(0.02 + 0.01) / 10.0, 0.03 / 8.0]
     assert pop.b.tolist() == [5.0, 5.0, 8.0] and pop.a.dtype == a.dtype
 
 
@@ -221,15 +225,27 @@ def test_population_derived_arrays_read_only_and_survive_pickling():
         sizes=(2, 1), a=np.array([0.5, 0.4, 0.6]), b=np.array([5.0, 5.0, 8.0]),
         d=np.array([0.02, 0.01, 0.03]),
     )
-    derived = ("b_sums", "d_sums", "twice_d", "twice_bd")
-    for name in derived:
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(pop, name)[0] = -1
     again = pickle.loads(pickle.dumps(pop))
-    for name in ("a", "b", "d", *derived):
+    for name in ("a", "b", "d"):
         assert not getattr(again, name).flags.writeable, name
         assert np.array_equal(getattr(again, name), getattr(pop, name)), name
     assert again.sizes == pop.sizes and again.offsets == pop.offsets
+
+
+@pytest.mark.parametrize(
+    "n_countries, total_citizens", [(50, 10_000), (5, 1000)], ids=["voting-gt", "table1"]
+)
+def test_vcg_params_match_exactly_rounded_country_sums(n_countries, total_citizens):
+    pop = generate_population(41, n_countries, total_citizens)
+    lam = np.stack([iv.lam for iv in sample_interventions(pop, seed=42, n=3)])
+    alpha, delta = vcg_params_block(pop, lam)
+    sums = lambda values: np.array(
+        [math.fsum(values[start : start + size]) for start, size in zip(pop.offsets, pop.sizes)]
+    )
+    b = sums(pop.b)
+    assert np.allclose(delta, sums(pop.d) / b, rtol=1e-14, atol=0.0)
+    want = np.stack([sums(pop.a - row) / b for row in lam])
+    assert np.allclose(alpha, want, rtol=1e-14, atol=0.0)
 
 
 def test_vcg_matches_summed_coefficients():
@@ -426,6 +442,13 @@ def _closed_form_by_hand(alpha, delta):
     return alpha / 2.0 - delta * total, total
 
 
+def _vcg_by_hand(pop, lam):
+    """One row's summed country ratios (alpha, delta), each country summed by
+    ``np.add.reduceat`` over that row alone."""
+    b = np.add.reduceat(pop.b, pop.offsets)
+    return np.add.reduceat(pop.a - lam, pop.offsets) / b, np.add.reduceat(pop.d, pop.offsets) / b
+
+
 def _median_by_hand(pop, lam, tol=1e-6):
     """One row by bracketed Newton on the world total Q from the vcg total:
     each step is the closed form at the lower medians of the ideal levels
@@ -434,11 +457,8 @@ def _median_by_hand(pop, lam, tol=1e-6):
     (levels, steps, vote residual) at the first step whose levels are within
     ``tol`` of the median ideal levels at their own total."""
     alpha, delta = (pop.a - lam) / pop.b, pop.d / pop.b
-    sl = [pop.country_slice(c) for c in range(pop.n_countries)]
-    b = np.array([np.sum(pop.b[s]) for s in sl])
-    vcg_alpha = np.array([np.sum(pop.a[s] - lam[s]) for s in sl]) / b
-    total = _closed_form_by_hand(vcg_alpha, np.array([np.sum(pop.d[s]) for s in sl]) / b)[1]
-    lo, hi = 0.0, float(sum(np.max(alpha[s]) for s in sl)) / 2.0
+    total = _closed_form_by_hand(*_vcg_by_hand(pop, lam))[1]
+    lo, hi = 0.0, float(sum(np.max(alpha[s : s + n]) for s, n in zip(pop.offsets, pop.sizes))) / 2.0
     ideal, idx = _stable_lower_medians(pop, alpha / 2.0 - delta * total)
     for step in range(1, 101):
         q, newton = _closed_form_by_hand(alpha[idx], delta[idx])
@@ -457,7 +477,6 @@ def _row_by_row(mechanism, pop, interventions, rng=None):
     lower medians and the closed form by hand, the dictators drawn from the
     generator ``rng`` one country at a time: (levels, median step counts,
     median residuals)."""
-    sl = [pop.country_slice(c) for c in range(pop.n_countries)]
     levels, steps, residuals = [], [], []
     for iv in interventions:
         if mechanism == "median":
@@ -466,11 +485,9 @@ def _row_by_row(mechanism, pop, interventions, rng=None):
             steps.append(step)
             residuals.append(residual)
         elif mechanism == "vcg":
-            b = np.array([np.sum(pop.b[s]) for s in sl])
-            alpha = np.array([np.sum(pop.a[s] - iv.lam[s]) for s in sl]) / b
-            levels.append(_closed_form_by_hand(alpha, np.array([np.sum(pop.d[s]) for s in sl]) / b)[0])
+            levels.append(_closed_form_by_hand(*_vcg_by_hand(pop, iv.lam))[0])
         else:
-            idx = [s.start + int(rng.integers(s.stop - s.start)) for s in sl]
+            idx = [start + int(rng.integers(size)) for start, size in zip(pop.offsets, pop.sizes)]
             alpha, delta = (pop.a[idx] - iv.lam[idx]) / pop.b[idx], pop.d[idx] / pop.b[idx]
             levels.append(_closed_form_by_hand(alpha, delta)[0])
     return np.stack(levels), steps, np.array(residuals)
@@ -629,11 +646,16 @@ def test_median_block_raises_when_any_row_fails():
         ),
         pytest.param(
             lambda pop: zero_on_country_interventions(pop, pop.n_countries, seed=0),
-            "no country 3",
+            r"country 3 outside \[0, 3\)",
             id="unknown-country",
         ),
         pytest.param(
-            lambda pop: Intervention(np.zeros(pop.total - 1)).validate_for(pop),
+            lambda pop: zero_on_country_interventions(pop, 1.5, 0, 2),
+            r"country 1.5 outside \[0, 3\)",
+            id="fractional-country",
+        ),
+        pytest.param(
+            lambda pop: vcg_block(pop, np.zeros((1, pop.total - 1))),
             "length must equal the citizen count",
             id="intervention-length",
         ),
@@ -697,6 +719,7 @@ def test_median_block_raises_when_any_row_fails():
         ),
         pytest.param(lambda pop: pop.country_slice(3), r"country 3 outside \[0, 3\)", id="slice-past-the-end"),
         pytest.param(lambda pop: pop.country_slice(-1), r"country -1 outside \[0, 3\)", id="slice-negative"),
+        pytest.param(lambda pop: pop.country_slice(1.0), r"country 1.0 outside \[0, 3\)", id="slice-float"),
     ],
 )
 def test_invalid_voting_inputs_raise_typed_errors(call, message):
