@@ -231,9 +231,9 @@ def _dist_distance(d1: Distribution, d2: Distribution) -> float:
     """Sup-norm between two exact distributions, treating unmatched atoms as
     probability zero.  An atom pairs with its equal atom in the other table
     when ``close_to`` confirms it ({A: True} equals {A: 1} but is not close
-    to it), else with the first atom, in canonical order, close to it; so in
-    a table with two distinct atoms within FLOAT_TOL, each pairs with its
-    own equal atom, not the first close one."""
+    to it), else with the first atom close to it, in the other table's atom
+    order; so in a table with two distinct atoms within FLOAT_TOL, each
+    pairs with its own equal atom, not the first close one."""
     worst = 0.0
     for mine, theirs in ((d1.atoms, d2.atoms), (d2.atoms, d1.atoms)):
         equal = {atom[0]: atom for atom in theirs}
@@ -343,8 +343,10 @@ def check_abstraction(
     are exact tables, compared by sup-norm; with ``n=k`` both are
     frequencies of ``k`` samples drawn from ``seed``, compared by total
     variation.  ValueError when tau lacks an aligned variable or omega maps
-    one the alignment lacks."""
+    one the alignment lacks, or when ``tol`` is NaN or negative."""
     check_sample_count(n)
+    if not tol >= 0:
+        raise ValueError(f"need tol >= 0, got {tol!r}")
     tau = lambda s: push_tau(a, t, s)
     entries = []
     for low_iv in suite:

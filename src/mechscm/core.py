@@ -5,9 +5,9 @@ settings (partial assignments of tagged values), a deterministic possibly
 cyclic model over the mechanism layer, a parameterized acyclic model over the
 object layer, and the pairing of the two.  Solving the mechanism layer under a
 hard intervention yields parameter settings; each one instantiates an object
-model whose distribution can be computed.  A distribution is one canonical
-table of atoms either way: ``n=None`` enumerates it exactly, ``n=k`` holds the
-frequencies of ``k`` forward samples drawn from ``seed``.
+model whose distribution can be computed.  A distribution is a table of
+atoms either way, compared as a mapping: ``n=None`` enumerates it exactly,
+``n=k`` holds the frequencies of ``k`` forward samples drawn from ``seed``.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class VarId:
     name: str
     layer: Layer
     # cached, not compared: the dataclass hash, hash((name, layer)), since
-    # Layer hashes in Python; the order key that canonical tables sort by;
-    # and the paired variable on the other layer (see paired)
+    # Layer hashes in Python; the order key that sorted_items sorts by; and
+    # the paired variable on the other layer (see paired)
     _hash: int = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
     _pairs: dict = field(init=False, repr=False, compare=False)
@@ -447,14 +447,10 @@ def all_settings(variables: Sequence[VarId], domains: Mapping[VarId, Domain]) ->
     return (Setting(zip(variables, combo)) for combo in itertools.product(*grids))
 
 
-def setting_sort_key(s: Setting):
-    return _items_key(s.sorted_items())
-
-
-def _items_key(items) -> tuple:
-    """The canonical order key of (VarId, value) pairs given in variable
-    order: one (name, layer value, canon_key(value)) triple per pair."""
-    return tuple([(*v._key, canon_key(x)) for v, x in items])
+def setting_sort_key(s: Setting) -> tuple:
+    """The order key of a solution set's settings: one (name, layer value,
+    canon_key(value)) triple per variable, in variable order."""
+    return tuple([(*v._key, canon_key(x)) for v, x in s.sorted_items()])
 
 
 def _topological_order(variables: Sequence[VarId], parents: Mapping) -> Optional[tuple]:
@@ -709,9 +705,9 @@ class SamplerAssign(ObjectAssign):
 @dataclass(frozen=True)
 class ParameterizedSCM:
     """Acyclic object-level model whose structural assignments are indexed by
-    a parameter per variable; its topological order is derived, and ranked
-    by variable order key, once.  ``distribution`` keeps up to ``TABLES_KEPT``
-    exact tables on it, oldest dropped first (see there); no field holds them."""
+    a parameter per variable; its topological order is derived once.
+    ``distribution`` keeps up to ``TABLES_KEPT`` exact tables on it, oldest
+    dropped first (see there); no field holds them."""
 
     variables: tuple
     parents: Mapping[VarId, tuple]
@@ -724,8 +720,6 @@ class ParameterizedSCM:
         if order is None:
             raise ValueError("object-level graph must be acyclic")
         object.__setattr__(self, "_order", order)
-        ranked = sorted(range(len(order)), key=lambda i: order[i]._key)
-        object.__setattr__(self, "_ranked", tuple(ranked))
         object.__setattr__(self, "_tables", {})
 
     @property
@@ -809,14 +803,13 @@ def induce_scm(m: MechanizedSCM, mech_solution: Setting) -> InducedSCM:
 # Distributions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """A finite table of ((Setting, probability), ...) atoms in canonical
-    order.  ``n_samples`` is None for an exact table; otherwise the atoms are
-    the frequencies of that many forward samples drawn from ``seed``.
-    Exact tables are compared by aligning atoms: an atom pairs with its
-    equal atom when ``close_to`` confirms it, else with the first atom, in
-    canonical order, close to it (``abstraction._dist_distance``)."""
+    """A finite table of ((Setting, probability), ...) atoms, one per setting,
+    in the order they were computed.  ``n_samples`` is None for an exact
+    table; otherwise the atoms are the frequencies of that many forward
+    samples drawn from ``seed``.  Equality and hash read the atoms as a
+    mapping, with ``n_samples`` and ``seed``, so their order never counts."""
 
     atoms: tuple
     n_samples: Optional[int] = None
@@ -826,6 +819,16 @@ class Distribution:
         total = math.fsum(p for _, p in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"table sums to {total!r}, not 1")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Distribution)
+            and (self.n_samples, self.seed) == (other.n_samples, other.seed)
+            and dict(self.atoms) == dict(other.atoms)
+        )
+
+    def __hash__(self) -> int:
+        return hash((frozenset(dict(self.atoms).items()), self.n_samples, self.seed))
 
     def prob(self, setting: Setting, tol: float = FLOAT_TOL) -> float:
         total = 0.0
@@ -852,20 +855,15 @@ class Distribution:
 
     def tv_distance(self, other: "Distribution") -> float:
         a, b = dict(self.atoms), dict(other.atoms)
-        keys = set(a) | set(b)
-        return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+        return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in {**a, **b})
 
 
 def exact_distribution(
     table: Mapping[Setting, float], n_samples: Optional[int] = None, seed: Optional[int] = None
 ) -> Distribution:
-    """The canonical Distribution of a {Setting: probability} table."""
-    atoms = tuple(
-        sorted(
-            ((s, p) for s, p in table.items() if p > 0.0),
-            key=lambda sp: setting_sort_key(sp[0]),
-        )
-    )
+    """The Distribution of a {Setting: probability} table: its atoms of
+    positive probability, in the table's order."""
+    atoms = tuple((s, p) for s, p in table.items() if p > 0.0)
     return Distribution(atoms, n_samples, seed)
 
 
@@ -914,7 +912,8 @@ def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Dis
     topological order; every variable must expose an exact local conditional
     (finite or analytically integrable noise), else NonFiniteDomain.  With
     ``n=k`` the table holds the frequencies (count / k) of ``k`` forward
-    samples drawn from ``seed``.  Exact tables, not sampled ones, are kept on
+    samples drawn from ``seed``.  Atoms come in the order the forward pass
+    first reached them.  Exact tables, not sampled ones, are kept on
     the model by the parameter values in topological order, served again to
     alike values only (``_same_value``: not ``True`` for ``1``, nor ``-0.0``
     for ``0.0``), else recomputed; past ``TABLES_KEPT`` the oldest is dropped."""
@@ -939,18 +938,9 @@ def distribution(scm: InducedSCM, n: Optional[int] = None, seed: int = 0) -> Dis
             key = tuple(values[v] for v in order)
             counts[key] = counts.get(key, 0) + 1
         paths = {key: c / n for key, c in counts.items()}
-    # exact_distribution's order; every setting holds the same variables,
-    # which the model ranked in sort order once
-    ranked = model._ranked
-    rows = sorted(
-        (
-            (_items_key([(order[i], values[i]) for i in ranked]), values, p)
-            for values, p in paths.items()
-            if p > 0.0
-        ),
-        key=lambda row: row[0],
+    atoms = tuple(
+        (Setting._own(dict(zip(order, values))), p) for values, p in paths.items() if p > 0.0
     )
-    atoms = tuple((Setting._own(dict(zip(order, values))), p) for _, values, p in rows)
     dist = Distribution(atoms, n, None if n is None else seed)
     if n is None:
         if kept is None and len(model._tables) >= TABLES_KEPT:

@@ -69,6 +69,9 @@ class ConfigError(ValueError):
     pass
 
 
+# The vcg margin allows, on top of the spread between seeds, for ~1e-3 of
+# rounding-order noise: re-associating the country sums alone moved the
+# full-size improvement by up to 0.0009 (seed 41: 0.96427 to 0.96338).
 THRESHOLDS = {
     "vcg": {"improvement_min": 0.90, "model_mae_max": 0.15, "mae_delta_max": 1e-6},
     "median": {"improvement_min": 0.80, "median_residual_max": 1e-5},

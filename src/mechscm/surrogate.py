@@ -32,6 +32,7 @@ iterate when the minibatch loss still swings.  Ground truth is solved
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,8 +103,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_train, self.n_test, self.epochs, self.batch_size) < 1:
-            raise ValueError("counts must be positive")
+        counts = (self.n_train, self.n_test, self.epochs, self.batch_size)
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in counts):
+            raise ValueError(f"counts must be positive integers, got {counts}")
         if not 0 < self.learning_rate < float("inf"):
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
 

@@ -175,23 +175,25 @@ def _largest_remainder_sizes(raw: np.ndarray, total: int) -> tuple:
     return tuple(int(s) for s in base)
 
 
+def _check_count(n, what: str) -> None:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidConfig(f"need an integer {what} >= 1, got {n!r}")
+
+
 def generate_population(seed: int, n_countries: int = 5, total_citizens: int = 1000) -> Population:
     """Log-normal country sizes scaled to the exact total (largest-remainder
     rounding), citizen parameters i.i.d. uniform within the scaled
     ``A_RANGE``, ``B_RANGE`` and ``D_RANGE``."""
-    if not 1 <= n_countries <= total_citizens:
+    _check_count(total_citizens, "citizen count")
+    if not (isinstance(n_countries, numbers.Integral) and 1 <= n_countries <= total_citizens):
         raise InvalidConfig(f"{n_countries} countries: need 1 to {total_citizens}, a citizen each")
     rng = np.random.default_rng(seed)
     raw = rng.lognormal(mean=0.0, sigma=SIZE_SIGMA, size=n_countries)
     sizes = _largest_remainder_sizes(raw, total_citizens)
 
     a = rng.uniform(A_RANGE[0], A_RANGE[1], size=total_citizens)
-    b = np.empty(total_citizens)
     d = rng.uniform(D_RANGE[0] / n_countries, D_RANGE[1] / n_countries, size=total_citizens)
-    offset = 0
-    for n_c in sizes:
-        b[offset : offset + n_c] = rng.uniform(B_RANGE[0] / n_c, B_RANGE[1] / n_c, size=n_c)
-        offset += n_c
+    b = np.concatenate([rng.uniform(B_RANGE[0] / n_c, B_RANGE[1] / n_c, size=n_c) for n_c in sizes])
     return Population(sizes=sizes, a=a, b=b, d=d)
 
 
@@ -212,8 +214,7 @@ def _draw_interventions(pop: Population, seed: int, n: int, untouched: int | Non
     """Each draw samples a per-country mean uniform on [0, LAMBDA_MAX] and
     then citizen values around it; country ``untouched`` keeps lambda zero
     and draws no citizen values.  The (n, N) draws are checked at once."""
-    if n < 1:
-        raise InvalidConfig("need n >= 1 interventions")
+    _check_count(n, "intervention count")
     rng = np.random.default_rng(seed)
     lam = np.zeros((n, pop.total))
     for row in lam:
@@ -388,6 +389,7 @@ def median_fixed_point_residual(pop: Population, iv: Intervention, q: np.ndarray
 def draw_dictators(pop: Population, rng, n: int) -> np.ndarray:
     """(n, C) citizen indices, one uniform draw per row and country, from
     ``default_rng(rng)`` for anything it accepts (a Generator advances)."""
+    _check_count(n, "dictator row count")
     return pop.offsets + np.random.default_rng(rng).integers(pop.sizes, size=(n, pop.n_countries))
 
 

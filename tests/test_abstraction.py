@@ -581,6 +581,18 @@ def test_sampling_checks_reject_empty_counts(ac):
         check_abstraction(ac.low, ac.high, ac.alignment, ac.tau, ac.omega, [], n=1.5)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_check_abstraction_rejects_a_nan_or_negative_tol(tol):
+    # shared_utility_pair("fm") passes every intervention of its suite, so
+    # a tol that no distance can meet must be refused, not read as FAIL;
+    # and refused before the first intervention is checked
+    p = shared_utility_pair("fm")
+    suite = iter(full_subset_suite(p.omega))
+    with pytest.raises(ValueError, match=f"need tol >= 0, got {tol}"):
+        check_abstraction(p.low, p.high, p.alignment, p.tau, p.omega, suite, tol=tol)
+    assert next(suite) == full_subset_suite(p.omega)[0]
+
+
 # ---------------------------------------------------------------------------
 # Non-emergence preconditions
 

@@ -581,6 +581,26 @@ def test_kernel_assign_sampling_matches_kernel():
     assert exact.tv_distance(emp) < 0.02
 
 
+def test_tv_distance_is_the_same_in_every_process():
+    # frequencies c / n summed in another order can differ in the last bit,
+    # so the sum must follow the atoms, not the string hashes of a set
+    code = (
+        "import fuzzgen; from mechscm import core\n"
+        "for k in range(40):\n"
+        "    model = fuzzgen.random_case(0, k).low\n"
+        "    sol = min(core.solution_set(model.mech_model), key=core.setting_sort_key)\n"
+        "    scm = core.induce_scm(model, sol)\n"
+        "    d1, d2 = core.distribution(scm, n=37, seed=1), core.distribution(scm, n=41, seed=2)\n"
+        "    print(d1.tv_distance(d2).hex())\n"
+    )
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
 @given(st.integers(0, 2**16), st.integers(0, 199))
 @settings(max_examples=60, deadline=None)
 def test_solution_set_agrees_with_enumeration_on_fuzz_models(seed, index):
@@ -674,8 +694,8 @@ def test_setting_sort_key_is_the_reference_formula(assignments):
 
 def test_canon_key_orders_numpy_integers_numerically():
     A = obj("A")
-    table = {Setting({A: np.int64(v)}): 1 / 3 for v in (10, 2, 9)}
-    assert [s[A] for s, _ in exact_distribution(table).atoms] == [2, 9, 10]
+    ss = [Setting({A: np.int64(v)}) for v in (10, 2, 9)]
+    assert [s[A] for s in sorted(ss, key=setting_sort_key)] == [2, 9, 10]
     assert canon_key(np.int64(1)) == canon_key(1) == canon_key(1.0)
     assert setting_sort_key(Setting({A: np.int64(1)})) == setting_sort_key(Setting({A: 1}))
 
@@ -683,14 +703,16 @@ def test_canon_key_orders_numpy_integers_numerically():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**16), st.integers(0, 199))
 def test_distribution_order_is_exact_distribution_order(seed, index):
-    # distribution orders the variables once per table; re-sorting its atoms
-    # through setting_sort_key, from the reversed order, must not move them
+    # a distribution is its table: rebuilt from its atoms in reverse order,
+    # it keeps that order and is still equal, with an equal hash
     case = fuzzgen.random_case(seed, index)
     high = quotient_abstraction(case.low, case.groups)[0]
     for model in (case.low, high):  # int values, and the quotient's tuples
         for sol in solution_set(model.mech_model):
             d = distribution(induce_scm(model, sol))
-            assert exact_distribution(dict(reversed(d.atoms))).atoms == d.atoms
+            rebuilt = exact_distribution(dict(reversed(d.atoms)))
+            assert rebuilt.atoms == d.atoms[::-1]
+            assert rebuilt == d and hash(rebuilt) == hash(d)
 
 
 def test_distribution_order_with_unsorted_variables():
@@ -701,7 +723,36 @@ def test_distribution_order_with_unsorted_variables():
         (sol,) = solution_set(model.mech_model)
         d = distribution(induce_scm(model, sol))
         assert [v for v, _ in d.atoms[0][0].sorted_items()] != list(model.object_vars)
-        assert exact_distribution(dict(reversed(d.atoms))).atoms == d.atoms
+        rebuilt = exact_distribution(dict(reversed(d.atoms)))
+        assert rebuilt == d and hash(rebuilt) == hash(d)
+
+
+def test_equal_tables_in_different_atom_orders_collapse():
+    # the two solutions (0, 0) and (1, 1) list A's kernel in opposite orders,
+    # so their tables hold the same atoms in different orders
+    A, B, tA, tB = obj("A"), obj("B"), mech("A"), mech("B")
+    bit = FiniteDomain((0, 1))
+    kernels = ({"b": 0.75, "a": 0.25}, {"a": 0.25, "b": 0.75})
+    objm = ParameterizedSCM(
+        variables=(A, B),
+        parents={A: (), B: ()},
+        domains={A: FiniteDomain(("a", "b")), B: FiniteDomain((0,))},
+        param_domains={A: bit, B: bit},
+        assigns={
+            A: KernelAssign(lambda th, pa: kernels[th]),
+            B: DeterministicAssign(lambda th, pa: 0),
+        },
+    )
+    mechm = DeterministicSCM(  # coordination: each copies the other
+        variables=(tA, tB),
+        domains={tA: bit, tB: bit},
+        assignments={tA: lambda c: c[tB], tB: lambda c: c[tA]},
+    )
+    m = MechanizedSCM(mechm, objm)
+    sols = sorted(solution_set(mechm), key=setting_sort_key)
+    d0, d1 = (distribution(induce_scm(m, s)) for s in sols)
+    assert d0.atoms == d1.atoms[::-1] and d0 == d1 and hash(d0) == hash(d1)
+    assert solution_distributions(m) == (d0,)
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,12 @@ def test_train_config_rejects_a_count_below_one():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("field", ["n_train", "n_test", "epochs", "batch_size"])
+def test_train_config_rejects_a_fractional_count(field):
+    with pytest.raises(ValueError, match=r"counts must be positive integers, got \(.*2\.5"):
+        TrainConfig(**{field: 2.5})
+
+
 def test_unknown_mechanism_is_rejected():
     pop = tiny_population()
     train_set = make_dataset("vcg", pop, 4, 0)

@@ -668,6 +668,34 @@ def test_median_block_raises_when_any_row_fails():
             lambda pop: generate_population(0, -2, 30), "^-2 countries", id="negative-countries"
         ),
         pytest.param(
+            lambda pop: generate_population(0, 2.5, 30), "^2.5 countries", id="fractional-countries"
+        ),
+        pytest.param(
+            lambda pop: generate_population(0, 3, 30.5),
+            "need an integer citizen count >= 1, got 30.5",
+            id="fractional-citizens",
+        ),
+        pytest.param(
+            lambda pop: sample_interventions(pop, 0, 2.5),
+            "need an integer intervention count >= 1, got 2.5",
+            id="fractional-interventions",
+        ),
+        pytest.param(
+            lambda pop: zero_on_country_interventions(pop, 0, 0, 2.5),
+            "need an integer intervention count >= 1, got 2.5",
+            id="fractional-zero-on-country-interventions",
+        ),
+        pytest.param(
+            lambda pop: draw_dictators(pop, 0, 2.5),
+            "need an integer dictator row count >= 1, got 2.5",
+            id="fractional-dictator-rows",
+        ),
+        pytest.param(
+            lambda pop: draw_dictators(pop, 0, -1),
+            "need an integer dictator row count >= 1, got -1",
+            id="negative-dictator-rows",
+        ),
+        pytest.param(
             lambda pop: median_residuals(pop, np.zeros((2, pop.total)), np.zeros((2, 4))),
             r"levels q of shape \(2, 4\), need \(2, 3\)",
             id="residual-levels-shape",
