@@ -256,7 +256,10 @@ def dists_match(
     their Hausdorff distance, the largest distance from a distribution on
     either side to the nearest one on the other, so it depends on neither
     order, side nor repeats.  Returns (max_mismatch <= tol, max_mismatch):
-    (True, 0.0) when both sides are empty, (False, inf) when one is."""
+    (True, 0.0) when both sides are empty, (False, inf) when one is.
+    ValueError when ``tol`` is NaN or negative."""
+    if not tol >= 0:
+        raise ValueError(f"need tol >= 0, got {tol!r}")
     set1, set2 = list(set1), list(set2)
     if not set1 or not set2:
         return (True, 0.0) if set1 == set2 else (False, float("inf"))

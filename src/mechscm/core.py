@@ -816,8 +816,10 @@ class Distribution:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        if not all(p >= 0.0 for _, p in self.atoms):
+            raise ValueError("table has a NaN or negative probability")
         total = math.fsum(p for _, p in self.atoms)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"table sums to {total!r}, not 1")
 
     def __eq__(self, other) -> bool:
@@ -862,8 +864,8 @@ def exact_distribution(
     table: Mapping[Setting, float], n_samples: Optional[int] = None, seed: Optional[int] = None
 ) -> Distribution:
     """The Distribution of a {Setting: probability} table: its atoms of
-    positive probability, in the table's order."""
-    atoms = tuple((s, p) for s, p in table.items() if p > 0.0)
+    nonzero probability, in the table's order."""
+    atoms = tuple((s, p) for s, p in table.items() if p != 0.0)
     return Distribution(atoms, n_samples, seed)
 
 

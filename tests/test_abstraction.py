@@ -591,6 +591,8 @@ def test_check_abstraction_rejects_a_nan_or_negative_tol(tol):
     with pytest.raises(ValueError, match=f"need tol >= 0, got {tol}"):
         check_abstraction(p.low, p.high, p.alignment, p.tau, p.omega, suite, tol=tol)
     assert next(suite) == full_subset_suite(p.omega)[0]
+    with pytest.raises(ValueError, match=f"need tol >= 0, got {tol}"):
+        dists_match([_point(obj("A"), 0)], [_point(obj("A"), 0)], tol)
 
 
 # ---------------------------------------------------------------------------

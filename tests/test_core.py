@@ -27,6 +27,7 @@ from mechscm.core import (
     BernoulliAssign,
     DeterministicAssign,
     DeterministicSCM,
+    Distribution,
     FiniteDomain,
     IncompleteSolution,
     KernelAssign,
@@ -558,12 +559,21 @@ def test_table_value_semantics():
     assert hash(t) == hash(Table.from_dict({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 2.0}))
 
 
-def test_distribution_sum_guard():
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s0, s1: Distribution(atoms=((s0, 0.5),)),
+        lambda s0, s1: Distribution(atoms=((s0, math.nan),)),
+        lambda s0, s1: Distribution(atoms=((s0, 1.5), (s1, -0.5))),
+        # a NaN entry reaches the check instead of being filtered out
+        lambda s0, s1: exact_distribution({s0: 1.0, s1: math.nan}),
+    ],
+    ids=["sum-0.5", "nan", "negative", "exact-nan"],
+)
+def test_distribution_sum_guard(build):
     A = obj("A")
     with pytest.raises(ValueError):
-        from mechscm.core import Distribution
-
-        Distribution(atoms=((Setting({A: 0}), 0.5),))
+        build(Setting({A: 0}), Setting({A: 1}))
 
 
 def test_kernel_assign_sampling_matches_kernel():
